@@ -280,13 +280,6 @@ class NectarNode(RoundProtocol):
         self, proof: NeighborhoodProof, chain: tuple[ChainLink, ...]
     ) -> tuple[ChainLink, ...]:
         """Extend (or create) the signature chain with our own layer."""
-        cache = self._validator.cache
-        if cache is not None:
-            # Byte-identical to extend_chain; additionally hands the
-            # signed message bytes to the extension's first verifier.
-            return cache.extend_chain(
-                self._scheme, self._key_pair, proof_bytes(proof), chain
-            )
         return extend_chain(self._scheme, self._key_pair, proof_bytes(proof), chain)
 
     def _keep_outgoing(self, outgoing: Outgoing, round_number: int) -> bool:

@@ -35,12 +35,12 @@ service verifying many deployments, or trials with n well past 200)
 pass ``max_entries`` to cap the memo maps: the proof and chain verdict
 maps evict least-recently-used first, counted in
 ``CacheStats.proof_evictions`` / ``chain_evictions``, while the
-object-identity fast paths (announcements, signed-message handoffs)
-are simply capped in insertion order — their entries are one-shot
-accelerators, not verdicts, so precision there buys nothing.  Eviction
-never changes a verdict — an evicted signature is simply re-verified
-on its next appearance (the chain prefix short-circuit degrades to a
-full scan when its prefix entry was evicted).
+object-identity announcement fast path is simply capped in insertion
+order — its entries are one-shot accelerators, not verdicts, so
+precision there buys nothing.  Eviction never changes a verdict — an
+evicted signature is simply re-verified on its next appearance (the
+chain prefix short-circuit degrades to a full scan when its prefix
+entry was evicted).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from repro.crypto.chain import ChainLink, chain_message, verify_chain
 from repro.crypto.proofs import NeighborhoodProof, proof_bytes, verify_proof
-from repro.crypto.signer import KeyPair, PublicDirectory, SignatureScheme
+from repro.crypto.signer import PublicDirectory, SignatureScheme
 
 
 @dataclass
@@ -119,8 +119,8 @@ class VerificationCache:
             (default) keeps everything — the equivalence-pinned
             historical behaviour.  A bound evicts least-recently-used
             verdicts from the proof and chain maps (counted in
-            :class:`CacheStats`) and caps the identity fast-path maps
-            in insertion order (uncounted — those entries are one-shot
+            :class:`CacheStats`) and caps the identity fast-path map
+            in insertion order (uncounted — its entries are one-shot
             accelerators, not verdicts); it changes memory use and hit
             rates, never verdicts.
     """
@@ -136,10 +136,6 @@ class VerificationCache:
         # keep a strong reference to the object so an id() can never be
         # recycled while its entry lives.
         self._announcements: dict[int, tuple[object, bool]] = {}
-        # Signed-message handoff (see extend_chain): chain tuple ->
-        # (chain, payload, message bytes its outer link signed).
-        self._sign_messages: dict[int, tuple[object, bytes, bytes]] = {}
-        self._outer_messages: dict[int, tuple[object, bytes, bytes]] = {}
 
     def __len__(self) -> int:
         return len(self._proofs) + len(self._chains)
@@ -236,106 +232,6 @@ class VerificationCache:
         self._bound(self._chains, "chain_evictions")
         return result
 
-    # ------------------------------------------------------------------
-    # Batch priming (repro.crypto.batch)
-    # ------------------------------------------------------------------
-    def has_proof(self, proof: NeighborhoodProof) -> bool:
-        """Whether this proof's verdict is already memoised."""
-        return (proof.edge, proof.signature_lo, proof.signature_hi) in self._proofs
-
-    def prime_proof(self, proof: NeighborhoodProof, verdict: bool) -> None:
-        """Insert a proof verdict computed by the stacked batch pass.
-
-        The verification work happened outside the cache, so this
-        counts as the miss the scalar path would have paid on first
-        sight; the per-message lookup that follows becomes a hit.
-        """
-        self.stats.proof_misses += 1
-        self._proofs[(proof.edge, proof.signature_lo, proof.signature_hi)] = verdict
-        self._bound(self._proofs, "proof_evictions")
-
-    def has_chain(self, payload: bytes, links: tuple[ChainLink, ...]) -> bool:
-        """Whether this chain's verdict is already memoised."""
-        return (payload, links) in self._chains
-
-    def chain_prefix_valid(self, payload: bytes, links: tuple[ChainLink, ...]) -> bool:
-        """Whether ``links[:-1]`` is empty or memoised as valid.
-
-        When true, the chain's verdict is decided by its outermost
-        link alone — the batch primer stacks exactly those link
-        checks.
-        """
-        prefix = links[:-1]
-        return not prefix or self._chains.get((payload, prefix)) is True
-
-    def pop_outer_message(
-        self, payload: bytes, links: tuple[ChainLink, ...]
-    ) -> bytes | None:
-        """Claim the signed-message handoff for a chain, if one exists.
-
-        The batch primer verifies outer links in place of
-        :meth:`_verify_outer_link`, so it takes over the handoff entry
-        (the relayer's signing pass shared the exact message bytes).
-        Identity-validated like every handoff lookup.
-        """
-        entry = self._outer_messages.pop(id(links), None)
-        if entry is not None and entry[0] is links and entry[1] is payload:
-            return entry[2]
-        return None
-
-    def prime_chain(
-        self,
-        payload: bytes,
-        links: tuple[ChainLink, ...],
-        verdict: bool,
-        *,
-        prefix_hit: bool,
-    ) -> None:
-        """Insert a chain verdict computed by the stacked batch pass."""
-        prefix_key = (payload, links[:-1])
-        if prefix_hit and prefix_key in self._chains:
-            self.stats.chain_prefix_hits += 1
-            self._touch(self._chains, prefix_key)
-        else:
-            # Either a genuinely prefix-less chain, or a bounded cache
-            # evicted the prefix between collection and priming — the
-            # scalar path would have paid a full-chain miss there too.
-            self.stats.chain_misses += 1
-        self._chains[(payload, links)] = verdict
-        self._bound(self._chains, "chain_evictions")
-
-    def extend_chain(
-        self,
-        scheme: SignatureScheme,
-        key_pair: KeyPair,
-        payload: bytes,
-        links: tuple[ChainLink, ...],
-    ) -> tuple[ChainLink, ...]:
-        """Drop-in :func:`repro.crypto.chain.extend_chain` that shares
-        message bytes between signers and verifiers.
-
-        The message a relayer signs over ``(payload, links)`` is byte-
-        for-byte the message the receiver must check the new outer link
-        against; remembering it per chain object saves rebuilding it at
-        every relayer of the same chain and at the first verifier of
-        the extension.  Entries are validated by object identity on
-        both the chain tuple *and* the payload, so a grafted chain over
-        a different payload can never borrow the wrong message.
-        """
-        entry = self._sign_messages.get(id(links)) if links else None
-        if entry is not None and entry[0] is links and entry[1] is payload:
-            message = entry[2]
-        else:
-            message = chain_message(payload, links)
-            if links:
-                self._sign_messages[id(links)] = (links, payload, message)
-                self._bound(self._sign_messages)
-        signature = scheme.sign(key_pair, message)
-        extended = links + (ChainLink(signer=key_pair.node_id, signature=signature),)
-        self._outer_messages[id(extended)] = (extended, payload, message)
-        self._bound(self._outer_messages)
-        return extended
-
     def _verify_outer_link(
         self,
         scheme: SignatureScheme,
@@ -347,10 +243,6 @@ class VerificationCache:
         link = links[-1]
         if link.signer not in directory:
             return False
-        entry = self._outer_messages.pop(id(links), None)
-        if entry is not None and entry[0] is links and entry[1] is payload:
-            message = entry[2]
-        else:
-            message = chain_message(payload, links[:-1])
+        message = chain_message(payload, links[:-1])
         public = directory.public_key_of(link.signer)
         return scheme.verify(public, message, link.signature)

@@ -13,25 +13,72 @@ separated concatenation of the payload and links ``0 .. i-1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 from repro.crypto.signer import KeyPair, PublicDirectory, SignatureScheme
 from repro.types import NodeId
 
 _CHAIN_DOMAIN = b"repro-signature-chain|"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class ChainLink:
     """One layer of a signature chain.
 
     Attributes:
         signer: id of the node that produced this layer.
         signature: its signature over the payload and all inner layers.
+
+    A link made by :func:`extend_chain` is *deferred*: it keeps what it
+    needs to sign and computes its signature the first time
+    ``signature`` is read (by a verifier, a hash, the codec or an
+    equality test).  Most relayed links are never read — a receiver
+    drops an announcement for an already-known edge before validating
+    it (Algorithm 1, l. 14) — so they are never signed.  Signing is
+    deterministic, so a deferred link is indistinguishable from an
+    eagerly signed one: same bytes, same equality, same hash, same
+    pickle.  Links are immutable either way.
     """
 
-    signer: NodeId
-    signature: bytes
+    __slots__ = ("signer", "signature", "_pending")
+
+    def __init__(self, signer: NodeId, signature: bytes) -> None:
+        _set(self, "signer", signer)
+        _set(self, "signature", signature)
+        _set(self, "_pending", None)
+
+    def __getattr__(self, name: str):
+        # Only reached while the ``signature`` slot is unset, i.e. on
+        # the first read of a deferred link's signature.
+        if name != "signature" or self._pending is None:
+            raise AttributeError(name)
+        scheme, key_pair, payload, inner = self._pending
+        signature = scheme.sign(key_pair, chain_message(payload, inner))
+        _set(self, "signature", signature)
+        _set(self, "_pending", None)
+        return signature
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ChainLink:
+            return NotImplemented
+        return self.signer == other.signer and self.signature == other.signature
+
+    def __hash__(self) -> int:
+        return hash((self.signer, self.signature))
+
+    def __repr__(self) -> str:
+        return f"ChainLink(signer={self.signer!r}, signature={self.signature!r})"
+
+    def __reduce__(self):
+        # Pickles the signed bytes, never the pending key pair.
+        return (ChainLink, (self.signer, self.signature))
 
 
 def chain_message(payload: bytes, inner_links: tuple[ChainLink, ...]) -> bytes:
@@ -52,10 +99,13 @@ def extend_chain(
     """Append the caller's signature layer and return the new chain.
 
     ``links`` may be empty, in which case this creates the innermost
-    layer (what the originator sends in round 1).
+    layer (what the originator sends in round 1).  The new layer is
+    deferred: ``scheme.sign`` runs when its signature is first read.
     """
-    signature = scheme.sign(key_pair, chain_message(payload, links))
-    return links + (ChainLink(signer=key_pair.node_id, signature=signature),)
+    link = object.__new__(ChainLink)
+    _set(link, "signer", key_pair.node_id)
+    _set(link, "_pending", (scheme, key_pair, payload, links))
+    return links + (link,)
 
 
 def verify_chain(

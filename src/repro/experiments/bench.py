@@ -164,8 +164,9 @@ def _probe_trial(cell: TrialSpec) -> dict | None:
     The sweep executor collapses each cell to a scalar, so the ledger
     re-runs the first *cost* cell once through the trial runner to
     record rounds executed, traffic bytes and the verification-cache
-    hit rate.  Adversarial scenarios return None — their cells expose
-    no comparable cost counters.
+    hit rate (None when the trial made no cache lookups).  Adversarial
+    scenarios return None — their cells expose no comparable cost
+    counters.
     """
     if not isinstance(cell, TrialSpec):
         return None  # mission cells expose no single-trial counters
@@ -190,13 +191,16 @@ def _probe_trial(cell: TrialSpec) -> dict | None:
             seed=cell.seed,
             env=cell.env,
         )
+    stats = result.cache_stats
     return {
         "rounds": result.rounds,
         "rounds_executed": result.rounds_executed,
         "total_bytes_sent": result.stats.total_bytes_sent(),
         "mean_kb_sent": result.mean_kb_sent(),
+        # ACCOUNTING-mode and fast-path trials never consult the cache;
+        # a 0.0 there would read as "every lookup missed".
         "verification_hit_rate": (
-            result.cache_stats.hit_rate() if result.cache_stats else None
+            stats.hit_rate() if stats is not None and stats.total() else None
         ),
     }
 

@@ -129,7 +129,8 @@ def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
         if uses_cache and not has_two_faced:
             # FULL honest runs with a shared cache keep the scalar
             # path: their cache-hit observability is pinned by tests,
-            # and the stacked-HMAC primer accelerates them instead.
+            # and deferred chain signing (repro.crypto.chain) already
+            # skips the signatures no receiver reads.
             return None
         return "nectar"
     if kinds <= {MtgNode, SaturatingMtgNode, TwoFacedMtgNode}:

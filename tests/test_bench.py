@@ -64,6 +64,22 @@ class TestLedger:
         assert path == ledger_path(tmp_path, "tiny")
         assert load_ledger(path) == ledger
 
+    def test_probe_hit_rate_is_null_without_lookups(self):
+        """A cost probe in ACCOUNTING mode never consults the cache, so
+        its hit rate is unknown, not 0.0; FULL validation measures one."""
+        assert run_scenario(TINY, smoke=True)["probe"]["verification_hit_rate"] is None
+        full = BenchScenario(
+            name="tiny-full",
+            title="unit-test scenario, FULL validation",
+            figure_id="fig3",
+            overrides=TINY.overrides,
+            smoke_overrides=TINY.smoke_overrides,
+            env={"validation": "full"},
+            gate_speedup=False,
+        )
+        rate = run_scenario(full, smoke=True)["probe"]["verification_hit_rate"]
+        assert 0.0 < rate < 1.0
+
     def test_rows_digest_is_deterministic(self):
         first = run_scenario(TINY, smoke=True)
         second = run_scenario(TINY, smoke=True)

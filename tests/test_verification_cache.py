@@ -23,7 +23,7 @@ from repro.adversary.behaviors import (
 from repro.core.messages import EdgeAnnouncement
 from repro.core.validation import AnnouncementValidator, ValidationMode
 from repro.crypto.cache import VerificationCache
-from repro.crypto.chain import ChainLink, extend_chain, verify_chain
+from repro.crypto.chain import ChainLink, chain_message, extend_chain, verify_chain
 from repro.crypto.proofs import (
     NeighborhoodProof,
     make_proof,
@@ -124,32 +124,34 @@ class TestCachePrimitives:
         assert not cache.verify_chain(scheme, keystore.directory, payload, ghost)
 
     def test_extend_chain_matches_plain(self, scheme, keystore):
+        """Deferred links verify through the cache exactly like links
+        signed eagerly over the same messages."""
         cache = VerificationCache()
         proof = make_proof(scheme, keystore.key_pair_of(0), keystore.key_pair_of(1))
         payload = proof_bytes(proof)
         plain = ()
-        cached = ()
+        deferred = ()
         for signer in (0, 2, 3, 4):
-            plain = extend_chain(scheme, keystore.key_pair_of(signer), payload, plain)
-            cached = cache.extend_chain(
-                scheme, keystore.key_pair_of(signer), payload, cached
-            )
-        assert plain == cached
+            key_pair = keystore.key_pair_of(signer)
+            signature = scheme.sign(key_pair, chain_message(payload, plain))
+            plain = plain + (ChainLink(signer=signer, signature=signature),)
+            deferred = extend_chain(scheme, key_pair, payload, deferred)
+            assert cache.verify_chain(scheme, keystore.directory, payload, deferred)
+        assert plain == deferred
+        assert cache.stats.chain_prefix_hits == 3
 
     def test_grafted_payload_cannot_borrow_message(self, scheme, keystore):
-        """A chain built over payload A must not verify against payload B
-        via the signed-message handoff."""
+        """A chain built over payload A must not verify against payload B,
+        whether or not its deferred link was signed before the check."""
         cache = VerificationCache()
         proof_a = make_proof(scheme, keystore.key_pair_of(0), keystore.key_pair_of(1))
         proof_b = make_proof(scheme, keystore.key_pair_of(0), keystore.key_pair_of(2))
-        chain = cache.extend_chain(
-            scheme, keystore.key_pair_of(0), proof_bytes(proof_a), ()
+        chain = extend_chain(scheme, keystore.key_pair_of(0), proof_bytes(proof_a), ())
+        assert not cache.verify_chain(
+            scheme, keystore.directory, proof_bytes(proof_b), chain
         )
         assert cache.verify_chain(
             scheme, keystore.directory, proof_bytes(proof_a), chain
-        )
-        assert not cache.verify_chain(
-            scheme, keystore.directory, proof_bytes(proof_b), chain
         )
 
 
