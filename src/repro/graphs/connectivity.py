@@ -17,32 +17,94 @@ We implement the classical algorithm used for exact node connectivity:
 A ``cutoff`` argument allows early exit: callers that only need to
 compare κ against a threshold (NECTAR compares against t and the
 sensitivity bound 2t) can cap every max-flow at the threshold.
+
+Two exact savings keep this pure-Python path fast: a pair with at
+least as many common neighbours as the running minimum skips its
+max-flow (common neighbours are disjoint paths), and every pair of one
+call reuses a single split network instead of rebuilding its arcs.
 """
 
 from __future__ import annotations
 
-from repro import perf
+from typing import Iterator
+
 from repro.graphs.graph import Graph
 from repro.graphs.maxflow import INFINITY, FlowNetwork
 from repro.types import NodeId
 
 
-def _split_network(graph: Graph, source: NodeId, sink: NodeId) -> FlowNetwork:
-    """Build the vertex-split digraph for a κ(source, sink) query.
+class _SplitNetwork:
+    """The vertex-split digraph of a graph, reusable for any (s, t) pair.
 
     Vertex v becomes v_in = 2v and v_out = 2v + 1 with an internal arc
-    of capacity 1 (capacity INFINITY for the terminals, which may not
-    be counted in a separator).  Each undirected edge (u, v) becomes
-    u_out -> v_in and v_out -> u_in with infinite capacity.
+    of capacity 1.  Each undirected edge (u, v) becomes u_out -> v_in
+    and v_out -> u_in with infinite capacity.  The arcs are built once;
+    each query restores the pristine capacities and lifts the two
+    terminals' internal arcs to infinity (terminals may not be counted
+    in a separator).
     """
-    network = FlowNetwork(2 * graph.n)
-    for vertex in graph.nodes():
-        capacity = INFINITY if vertex in (source, sink) else 1
-        network.add_edge(2 * vertex, 2 * vertex + 1, capacity)
-    for u, v in graph.edges():
-        network.add_edge(2 * u + 1, 2 * v, INFINITY)
-        network.add_edge(2 * v + 1, 2 * u, INFINITY)
-    return network
+
+    def __init__(self, graph: Graph) -> None:
+        network = FlowNetwork(2 * graph.n)
+        for vertex in graph.nodes():
+            network.add_edge(2 * vertex, 2 * vertex + 1, 1)
+        for u, v in graph.edges():
+            network.add_edge(2 * u + 1, 2 * v, INFINITY)
+            network.add_edge(2 * v + 1, 2 * u, INFINITY)
+        self._n = graph.n
+        self._network = network
+        self._template = network.capacity_template()
+
+    def max_flow(self, source: NodeId, sink: NodeId, cutoff: int | None = None) -> int:
+        """κ(source, sink) for non-adjacent terminals, truncated at ``cutoff``."""
+        network = self._network
+        network.reset_capacities(self._template)
+        # The internal arc of vertex v is the v-th add_edge call, whose
+        # forward arc index is 2v.
+        network.set_edge_capacity(2 * source, INFINITY)
+        network.set_edge_capacity(2 * sink, INFINITY)
+        return network.max_flow(2 * source + 1, 2 * sink, cutoff=cutoff)
+
+    def cut(self, source: NodeId, sink: NodeId) -> set[NodeId]:
+        """The minimum vertex cut on the source side of a maximum flow.
+
+        It is read off the saturated internal arcs on the residual
+        boundary, so it does not depend on which maximum flow was found.
+        """
+        self.max_flow(source, sink)
+        reachable = self._network.residual_reachable(2 * source + 1)
+        return {
+            vertex
+            for vertex in range(self._n)
+            if vertex not in (source, sink)
+            and 2 * vertex in reachable
+            and 2 * vertex + 1 not in reachable
+        }
+
+
+def _pivot_pairs(graph: Graph) -> Iterator[tuple[NodeId, NodeId, int]]:
+    """The pair family whose smallest κ(s, t) is κ(G), in a fixed order.
+
+    Yields ``(s, t, shared)`` where ``shared`` counts the common
+    neighbours of s and t.  Each common neighbour is an internally
+    disjoint path, so κ(s, t) >= ``shared`` and a pair whose count
+    already reaches the running minimum can skip its max-flow exactly.
+    """
+    neighbors = graph.neighbors
+    pivot = min(graph.nodes(), key=graph.degree)
+    pivot_neighbors = neighbors(pivot)
+    # Family 1: pivot against every non-neighbor.
+    for other in graph.nodes():
+        if other != pivot and other not in pivot_neighbors:
+            yield pivot, other, len(pivot_neighbors & neighbors(other))
+    # Family 2: non-adjacent pairs of pivot's neighbors (covers minimum
+    # cuts that contain the pivot itself).
+    ordered = sorted(pivot_neighbors)
+    for i, x in enumerate(ordered):
+        x_neighbors = neighbors(x)
+        for y in ordered[i + 1:]:
+            if y not in x_neighbors:
+                yield x, y, len(x_neighbors & neighbors(y))
 
 
 def local_connectivity(
@@ -61,8 +123,7 @@ def local_connectivity(
         raise ValueError("local connectivity needs two distinct vertices")
     if graph.has_edge(source, sink):
         return INFINITY if cutoff is None else cutoff
-    network = _split_network(graph, source, sink)
-    return network.max_flow(2 * source + 1, 2 * sink, cutoff=cutoff)
+    return _SplitNetwork(graph).max_flow(source, sink, cutoff=cutoff)
 
 
 def vertex_connectivity(graph: Graph, cutoff: int | None = None) -> int:
@@ -79,12 +140,6 @@ def vertex_connectivity(graph: Graph, cutoff: int | None = None) -> int:
         graph (including any graph with an isolated vertex) has κ = 0;
         the complete graph K_n has κ = n - 1 by convention.
     """
-    if perf.kernels_enabled():
-        from repro.perf import kernels
-
-        result = kernels.vertex_connectivity_kernel(graph, cutoff=cutoff)
-        if result is not None:
-            return result
     n = graph.n
     if n == 1:
         return 0 if cutoff is None else min(0, cutoff)
@@ -99,46 +154,21 @@ def vertex_connectivity(graph: Graph, cutoff: int | None = None) -> int:
         return kappa if cutoff is None else min(kappa, cutoff)
 
     # The minimum degree bounds κ from above, the user cutoff may bound
-    # it further.
+    # it further.  Connected with n >= 2, so every bound below is >= 1.
     best = graph.min_degree()
     if cutoff is not None:
         best = min(best, cutoff)
-    if best == 0:
-        return 0
-
-    pivot = min(graph.nodes(), key=graph.degree)
-    pivot_neighbors = sorted(graph.neighbors(pivot))
-
-    # Family 1: pivot against every non-neighbor.
-    for other in graph.nodes():
-        if other == pivot or other in graph.neighbors(pivot):
-            continue
-        flow = local_connectivity(graph, pivot, other, cutoff=best)
-        if flow < best:
-            best = flow
-            if best == 0:
-                return 0
-
-    # Family 2: non-adjacent pairs of pivot's neighbors (covers minimum
-    # cuts that contain the pivot itself).
-    for i, x in enumerate(pivot_neighbors):
-        for y in pivot_neighbors[i + 1:]:
-            if graph.has_edge(x, y):
-                continue
-            flow = local_connectivity(graph, x, y, cutoff=best)
-            if flow < best:
-                best = flow
-                if best == 0:
-                    return 0
+    network = _SplitNetwork(graph)
+    for s, t, shared in _pivot_pairs(graph):
+        if shared < best:
+            best = network.max_flow(s, t, cutoff=best)
     return best
 
 
 def minimum_st_vertex_cut(graph: Graph, source: NodeId, sink: NodeId) -> set[NodeId]:
     """A minimum vertex set separating two non-adjacent vertices.
 
-    By Menger's theorem its size equals κ(source, sink).  The cut is
-    read off the saturated internal arcs on the residual boundary of a
-    maximum flow.
+    By Menger's theorem its size equals κ(source, sink).
 
     Raises:
         ValueError: for adjacent (or identical) vertices, which no
@@ -146,16 +176,7 @@ def minimum_st_vertex_cut(graph: Graph, source: NodeId, sink: NodeId) -> set[Nod
     """
     if source == sink or graph.has_edge(source, sink):
         raise ValueError("a vertex cut needs two distinct non-adjacent vertices")
-    network = _split_network(graph, source, sink)
-    network.max_flow(2 * source + 1, 2 * sink)
-    reachable = network.residual_reachable(2 * source + 1)
-    cut = set()
-    for vertex in graph.nodes():
-        if vertex in (source, sink):
-            continue
-        if 2 * vertex in reachable and 2 * vertex + 1 not in reachable:
-            cut.add(vertex)
-    return cut
+    return _SplitNetwork(graph).cut(source, sink)
 
 
 def minimum_vertex_cut(graph: Graph) -> set[NodeId]:
@@ -163,7 +184,8 @@ def minimum_vertex_cut(graph: Graph) -> set[NodeId]:
 
     Useful to place Byzantine nodes in the worst position the paper
     reasons about: |cut| = κ(G) nodes whose removal partitions the
-    correct remainder.
+    correct remainder.  The cut returned is the one of the first pair
+    in :func:`_pivot_pairs` order whose κ(s, t) equals κ(G).
 
     Raises:
         ValueError: for disconnected or complete graphs (no vertex cut
@@ -174,28 +196,14 @@ def minimum_vertex_cut(graph: Graph) -> set[NodeId]:
         raise ValueError("a disconnected graph has no minimum vertex cut")
     if graph.edge_count == n * (n - 1) // 2:
         raise ValueError("a complete graph has no vertex cut")
-    best_cut: set[NodeId] | None = None
-    pivot = min(graph.nodes(), key=graph.degree)
-    pivot_neighbors = sorted(graph.neighbors(pivot))
-    candidate_pairs = [
-        (pivot, other)
-        for other in graph.nodes()
-        if other != pivot and other not in graph.neighbors(pivot)
-    ]
-    candidate_pairs.extend(
-        (x, y)
-        for i, x in enumerate(pivot_neighbors)
-        for y in pivot_neighbors[i + 1:]
-        if not graph.has_edge(x, y)
-    )
-    for s, t in candidate_pairs:
-        cut = minimum_st_vertex_cut(graph, s, t)
-        if best_cut is None or len(cut) < len(best_cut):
-            best_cut = cut
-            if len(best_cut) == 0:
-                break
-    if best_cut is None:  # pragma: no cover - excluded by the guards above
-        raise ValueError("no separable pair found")
+    network = _SplitNetwork(graph)
+    best_cut: set[NodeId] = set()
+    best = INFINITY
+    for s, t, shared in _pivot_pairs(graph):
+        if shared < best:
+            cut = network.cut(s, t)
+            if len(cut) < best:
+                best_cut, best = cut, len(cut)
     return best_cut
 
 

@@ -27,7 +27,7 @@ class Graph:
         GraphError: on out-of-range endpoints or self loops.
     """
 
-    __slots__ = ("_n", "_adjacency", "_edges", "_digest", "_dense")
+    __slots__ = ("_n", "_adjacency", "_edges", "_digest")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 1:
@@ -51,7 +51,6 @@ class Graph:
         self._adjacency = tuple(frozenset(neighbors) for neighbors in adjacency)
         self._edges = frozenset(edge_set)
         self._digest: str | None = None
-        self._dense: object | None = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -121,26 +120,10 @@ class Graph:
             self._digest = hasher.hexdigest()
         return self._digest
 
-    def dense_adjacency(self, builder) -> object:
-        """Memoised dense adjacency matrix for the vectorized kernels.
-
-        ``builder`` is called with the graph on the first use and its
-        result cached next to :meth:`digest` (the graph is immutable,
-        so the matrix never goes stale).  The builder lives in
-        :mod:`repro.perf.kernels` — keeping this class free of any
-        numpy import so the pure-Python fallback never pays for it.
-        """
-        if self._dense is None:
-            self._dense = builder(self)
-        return self._dense
-
     # ------------------------------------------------------------------
     # Pickling
     # ------------------------------------------------------------------
     def __getstate__(self) -> tuple:
-        # The dense-matrix cache is deliberately dropped: pickled
-        # graphs travel between sweep workers and environments that
-        # may not share the optional numpy dependency.
         return (self._n, sorted(self._edges), self._digest)
 
     def __setstate__(self, state: tuple) -> None:

@@ -34,8 +34,8 @@ class FlowNetwork:
         self._outgoing: list[list[int]] = [[] for _ in range(vertex_count)]
         # Scratch arrays for the Dinic phases, allocated once per
         # network and reset in place via the matching templates: the
-        # vertex-connectivity sweeps build O(n²) flow networks and run
-        # several phases on each, so per-phase list allocation shows up.
+        # vertex-connectivity sweeps run O(n²) flows and several phases
+        # on each, so per-phase list allocation shows up.
         self._levels = [-1] * vertex_count
         self._next_edge = [0] * vertex_count
         self._level_template = [-1] * vertex_count
@@ -62,7 +62,7 @@ class FlowNetwork:
         """A snapshot of the current residual capacities.
 
         Callers that run many max-flow queries on the same arc
-        structure (the batched κ kernel re-terminalises one shared
+        structure (vertex connectivity re-terminalises one shared
         vertex-split network per (s, t) pair) snapshot the pristine
         capacities once and restore them with
         :meth:`reset_capacities` instead of rebuilding the network.

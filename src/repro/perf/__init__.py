@@ -1,21 +1,19 @@
-"""Vectorized verification core (DESIGN.md §15).
+"""Vectorized trial fast path and its switchboard (DESIGN.md §15).
 
-This package hosts the numpy-accelerated kernels behind the hot paths
-of the reproduction — batched κ certification
-(:mod:`repro.perf.kernels`), the array-based trial fast path
-(:mod:`repro.perf.fastpath`) — plus the switchboard that decides
-whether they run at all.
+This package hosts the numpy-accelerated closed-form trial engine
+(:mod:`repro.perf.fastpath`) plus the switchboard that decides whether
+it runs at all.  Vertex connectivity has no numpy path: it is one
+pure-Python function, :func:`repro.graphs.connectivity.vertex_connectivity`.
 
-The contract is strict equivalence: every kernel is a drop-in for an
-existing pure-Python path and must produce bit-identical observable
-results (verdicts, traffic bytes, figure rows, artefact payloads).
+The contract is strict equivalence: the fast path is a drop-in for the
+scheduler and must produce bit-identical observable results (verdicts,
+traffic bytes, figure rows, artefact payloads).
 numpy is therefore an *optional* dependency (the ``[perf]`` packaging
 extra): when it is missing — or disabled via the ``REPRO_NO_NUMPY``
 environment variable, or :func:`force_kernels` — callers silently take
-the historical scalar code, and the outputs do not change by a single
-byte.  The equivalence is pinned by the property suite in
-``tests/test_perf_kernels.py`` and by the golden-row/bench row-sha
-gates in CI.
+the scalar scheduler, and the outputs do not change by a single
+byte.  The equivalence is pinned by the fast-path equivalence tests
+and by the golden-row/bench row-sha gates in CI.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ def numpy_or_none() -> ModuleType | None:
 
 
 def kernels_enabled() -> bool:
-    """Whether the vectorized kernels should run.
+    """Whether the vectorized fast path should run.
 
     Auto-detection (numpy importable and not disabled) unless a
     :func:`force_kernels` override is active.

@@ -67,7 +67,6 @@ from repro.graphs.graph import Graph
 from repro.net.channel import ChannelModel
 from repro.net.stats import TrafficStats
 from repro.perf import numpy_or_none
-from repro.perf.kernels import adjacency_matrix, directed_distances
 from repro.types import NodeId
 
 __all__ = ["try_run_trial"]
@@ -156,7 +155,10 @@ def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
 
 def _delivery_matrix(np, graph: Graph, protocols: Mapping[NodeId, Any]):
     """Graph adjacency minus each two-faced node's silent arcs."""
-    matrix = np.array(adjacency_matrix(graph), dtype=bool)
+    matrix = np.zeros((graph.n, graph.n), dtype=bool)
+    for u, v in graph.edges():
+        matrix[u, v] = True
+        matrix[v, u] = True
     for node_id, p in protocols.items():
         silent = getattr(p, "_silent_towards", None)
         if silent:
@@ -164,6 +166,34 @@ def _delivery_matrix(np, graph: Graph, protocols: Mapping[NodeId, Any]):
                 if 0 <= target < graph.n:
                     matrix[node_id, target] = False
     return matrix
+
+
+def _directed_distances(np, matrix):
+    """All-pairs hop distances along a directed boolean matrix.
+
+    ``matrix[s, j]`` means s reaches j in one hop.  Returns an int32
+    array ``dist`` with ``dist[u, i]`` the shortest hop count u → i and
+    ``n + 1`` as the unreachable sentinel (strictly larger than any
+    real distance, so ``min`` folds stay correct).  Runs as boolean
+    matrix-matrix BFS level fronts: one matmul per BFS depth advances
+    every source at once.
+    """
+    n = matrix.shape[0]
+    step = np.ascontiguousarray(matrix, dtype=np.uint8)
+    dist = np.full((n, n), n + 1, dtype=np.int32)
+    reach = np.eye(n, dtype=bool)
+    np.fill_diagonal(dist, 0)
+    frontier = reach.copy()
+    depth = 0
+    while True:
+        depth += 1
+        advanced = (frontier.astype(np.uint8) @ step) > 0
+        frontier = advanced & ~reach
+        if not frontier.any():
+            break
+        dist[frontier] = depth
+        reach |= frontier
+    return dist
 
 
 def _fill_stats(
@@ -214,7 +244,7 @@ def _run_nectar(
     delivery = _delivery_matrix(np, graph, protocols)
     edges = sorted(graph.edges())
     m = len(edges)
-    dist = directed_distances(delivery)
+    dist = _directed_distances(np, delivery)
     lo = np.fromiter((edge[0] for edge in edges), dtype=np.int64, count=m)
     hi = np.fromiter((edge[1] for edge in edges), dtype=np.int64, count=m)
     acc = np.minimum(dist[lo], dist[hi]) if m else np.zeros((0, n), dtype=np.int32)
@@ -368,7 +398,7 @@ def _run_mtgv2(
     n = graph.n
     delivery = _delivery_matrix(np, graph, protocols)
     # acc[v, i]: the epoch id v reaches node i (0 at its owner).
-    acc = directed_distances(delivery)
+    acc = _directed_distances(np, delivery)
     src = _acceptance_sources(np, delivery, acc)
 
     header = (

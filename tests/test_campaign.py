@@ -10,6 +10,9 @@ ground truth accounting for the live placement) and the registered
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.adversary.behaviors import (
@@ -285,6 +288,19 @@ class TestDeceptionScenario:
         clear_artifact_cache()
         sharded = SWEEP_ENGINE.run(resolved, workers=4)
         assert serial.rows() == sharded.rows()
+
+    def test_adaptive_rows_are_pinned(self):
+        """Adaptive placement chases the exact set minimum_vertex_cut
+        returns; these rows pin that choice end to end."""
+        resolved = SWEEP_ENGINE.resolve(
+            "detection-under-deception",
+            overrides={**FAST, "adversary.placement": "adaptive"},
+        )
+        rows = SWEEP_ENGINE.run(resolved, workers=1).rows()
+        text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5eb356b7451ecf032691b287d41568c743d987241d9b4b9778d19739fe4b4771"
+        )
 
     def test_detection_latency_is_a_sweepable_metric(self):
         resolved = SWEEP_ENGINE.resolve("detection-under-deception", overrides=FAST)

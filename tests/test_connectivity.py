@@ -21,8 +21,12 @@ from repro.graphs.generators.classic import (
     star_graph,
     two_cliques_bridge,
 )
+from repro.graphs.generators.drone import drone_graph
+from repro.graphs.generators.logharary import k_diamond
+from repro.graphs.generators.regular import harary_graph
+from repro.graphs.generators.wheels import generalized_wheel
 from repro.graphs.graph import Graph
-from repro.graphs.maxflow import INFINITY
+from repro.graphs.maxflow import INFINITY, FlowNetwork
 
 
 def to_networkx(graph: Graph) -> nx.Graph:
@@ -114,6 +118,24 @@ class TestMinimumCuts:
             assert len(cut) == vertex_connectivity(graph)
             assert is_vertex_cut(graph, cut)
 
+    @pytest.mark.parametrize(
+        ("graph", "cut"),
+        [
+            (k_diamond(4, 14), [1, 6, 8, 13]),
+            (k_diamond(2, 12), [1, 11]),
+            (generalized_wheel(12, 5), [0, 1, 2, 4, 11]),
+            (drone_graph(16, 1.5, 1.2, seed=3), [0, 1, 7]),
+            (drone_graph(20, 2.0, 1.2, seed=0), [7, 8, 17]),
+            (harary_graph(4, 24), [1, 2, 22, 23]),
+        ],
+        ids=["k-diamond-4-14", "k-diamond-2-12", "wheel-12-5", "drone-16",
+             "drone-20", "harary-4-24"],
+    )
+    def test_global_cut_choice_is_pinned(self, graph, cut):
+        """Adaptive placement puts Byzantine nodes on exactly this set,
+        so which minimum cut is returned is pinned, not just its size."""
+        assert sorted(minimum_vertex_cut(graph)) == cut
+
     def test_global_cut_rejects_complete(self):
         with pytest.raises(ValueError):
             minimum_vertex_cut(complete_graph(4))
@@ -121,6 +143,29 @@ class TestMinimumCuts:
     def test_global_cut_rejects_disconnected(self):
         with pytest.raises(ValueError):
             minimum_vertex_cut(Graph(4, [(0, 1), (2, 3)]))
+
+
+class TestWorkCounter:
+    def test_pruning_pins_the_max_flow_count(self, monkeypatch):
+        """κ over a fixed request set runs exactly 328 max-flows; without
+        the common-neighbour skip it would run 360.  A count, unlike a
+        timing, has no noise, so any weakened pruning fails here."""
+        calls = 0
+        plain_max_flow = FlowNetwork.max_flow
+
+        def counting_max_flow(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return plain_max_flow(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlowNetwork, "max_flow", counting_max_flow)
+        values = [
+            vertex_connectivity(harary_graph(k, n), cutoff=cutoff)
+            for k, n in ((4, 24), (6, 40), (6, 60))
+            for cutoff in (2, 3, 5)
+        ]
+        assert values == [2, 3, 4, 2, 3, 5, 2, 3, 5]
+        assert calls == 328
 
 
 class TestIsVertexCut:
@@ -157,8 +202,8 @@ class TestByzantinePartitionable:
 # Property tests against networkx
 # ----------------------------------------------------------------------
 @st.composite
-def random_graphs(draw):
-    n = draw(st.integers(min_value=2, max_value=12))
+def random_graphs(draw, max_n=12):
+    n = draw(st.integers(min_value=2, max_value=max_n))
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(
         st.lists(st.sampled_from(possible), max_size=len(possible), unique=True)
@@ -166,12 +211,13 @@ def random_graphs(draw):
     return Graph(n, edges)
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_graphs())
-def test_vertex_connectivity_matches_networkx(graph):
-    ours = vertex_connectivity(graph)
+@settings(max_examples=80, deadline=None)
+@given(random_graphs(max_n=16), st.one_of(st.none(), st.integers(1, 8)))
+def test_vertex_connectivity_matches_networkx(graph, cutoff):
     theirs = nx.node_connectivity(to_networkx(graph))
-    assert ours == theirs
+    if cutoff is not None:
+        theirs = min(theirs, cutoff)
+    assert vertex_connectivity(graph, cutoff=cutoff) == theirs
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,5 +242,5 @@ def test_minimum_cut_is_a_cut_of_kappa_size(graph):
     if not graph.is_connected() or complete:
         return
     cut = minimum_vertex_cut(graph)
-    assert len(cut) == kappa
+    assert len(cut) == kappa == nx.node_connectivity(to_networkx(graph))
     assert is_vertex_cut(graph, cut)

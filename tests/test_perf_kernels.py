@@ -1,25 +1,20 @@
 """Equivalence suite for the vectorized verification core (DESIGN.md §15).
 
-Every kernel in :mod:`repro.perf` is a drop-in accelerator for a
-pure-Python path; these tests pin the contract that makes that safe:
+The closed-form fast path in :mod:`repro.perf` is a drop-in
+accelerator for the scheduler; these tests pin the contract that makes
+that safe:
 
-* batched κ certification equals the scalar ``vertex_connectivity``
-  over random graphs and cutoffs (property-based);
 * the closed-form trial fast path reproduces the scalar scheduler's
   verdicts and traffic byte-for-byte;
 * honest FULL trials sign only the chain links someone reads, with the
   same verdicts and traffic on every path;
 * the fast path's wire-framing constants match the payloads' real
   ``encoded_size`` arithmetic;
-* the sweep warm-up's batched certificates leave figure rows
-  bit-identical to the scalar leg.
+* the sweep's parent-side artifact warm-up (interning and key pools)
+  leaves figure rows bit-identical to the scalar leg.
 """
 
-import random
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import perf
 from repro.baselines.mtg import BloomPayload, mtg_epoch_count
@@ -39,12 +34,9 @@ from repro.experiments.runner import (
     nectar_cost_trial,
     run_trial,
 )
-from repro.graphs.connectivity import vertex_connectivity
 from repro.graphs.generators.regular import harary_graph
-from repro.graphs.graph import Graph
 from repro.net.message import Envelope
 from repro.perf import fastpath
-from repro.perf.kernels import certify_graphs, vertex_connectivity_kernel
 
 requires_numpy = pytest.mark.skipif(
     perf.numpy_or_none() is None,
@@ -53,45 +45,6 @@ requires_numpy = pytest.mark.skipif(
 
 _SCHEME = HmacScheme()
 _STORE = build_keystore(_SCHEME, 8, seed=41)
-
-
-# ----------------------------------------------------------------------
-# Batched κ certification ≡ scalar vertex_connectivity
-# ----------------------------------------------------------------------
-@st.composite
-def graphs(draw):
-    n = draw(st.integers(min_value=2, max_value=9))
-    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(
-        st.sets(st.sampled_from(possible), min_size=0, max_size=len(possible))
-    )
-    return Graph(n, sorted(edges))
-
-
-@requires_numpy
-@settings(max_examples=80, deadline=None)
-@given(graphs(), st.one_of(st.none(), st.integers(min_value=1, max_value=6)))
-def test_kappa_kernel_matches_scalar(graph, cutoff):
-    with perf.force_kernels(False):
-        expected = vertex_connectivity(graph, cutoff=cutoff)
-    assert vertex_connectivity_kernel(graph, cutoff=cutoff) == expected
-    # The public entry point dispatches to the kernel and agrees too.
-    assert vertex_connectivity(graph, cutoff=cutoff) == expected
-
-
-@requires_numpy
-@settings(max_examples=15, deadline=None)
-@given(
-    st.lists(
-        st.tuples(graphs(), st.one_of(st.none(), st.integers(1, 5))),
-        min_size=0,
-        max_size=6,
-    )
-)
-def test_certify_graphs_matches_scalar_batch(requests):
-    with perf.force_kernels(False):
-        expected = [vertex_connectivity(g, cutoff=c) for g, c in requests]
-    assert list(certify_graphs(requests)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -334,10 +287,13 @@ def test_honest_full_trial_signs_only_read_links(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Sweep warm-up: batched certificates leave rows bit-identical
+# Sweep warm-up: interning and key pools leave rows bit-identical
 # ----------------------------------------------------------------------
-@requires_numpy
-def test_warmed_sweep_rows_match_scalar_leg():
+def test_warmed_sweep_rows_match_scalar_leg(monkeypatch):
+    """The accelerated leg (artifact cells, so ``SweepEngine.run``
+    warms them in the parent) gives the rows of the scalar leg (no
+    artifacts, no fast path)."""
+    from repro.experiments import spec
     from repro.experiments.artifacts import clear_artifact_cache
     from repro.experiments.spec import SWEEP_ENGINE
 
@@ -348,10 +304,21 @@ def test_warmed_sweep_rows_match_scalar_leg():
         "ts": (1,),
         "trials": 2,
     }
+    warmed = 0
+    plain_warm = spec._warm_artifacts
 
-    def rows():
+    def counting_warm(cells):
+        nonlocal warmed
+        warmed += 1
+        plain_warm(cells)
+
+    monkeypatch.setattr(spec, "_warm_artifacts", counting_warm)
+
+    def rows(**extra):
         clear_artifact_cache()
-        figure = SWEEP_ENGINE.run("connectivity-resilience", overrides=dict(overrides))
+        figure = SWEEP_ENGINE.run(
+            "connectivity-resilience", overrides={**overrides, **extra}
+        )
         return [
             (series.name, [(p.x, p.mean) for p in series.points])
             for series in figure.series
@@ -359,4 +326,6 @@ def test_warmed_sweep_rows_match_scalar_leg():
 
     with perf.force_kernels(False):
         scalar = rows()
-    assert rows() == scalar
+    assert warmed == 0
+    assert rows(**{"env.artifacts": True}) == scalar
+    assert warmed > 0
