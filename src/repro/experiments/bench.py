@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
 import pathlib
 import time
 from dataclasses import dataclass, field
@@ -205,28 +204,6 @@ def _probe_trial(cell: TrialSpec) -> dict | None:
     }
 
 
-@contextlib.contextmanager
-def _scalar_baseline():
-    """Pin the baseline leg to the historical pure-Python paths.
-
-    Forces the kernel switchboard off in this process *and* exports
-    ``REPRO_NO_NUMPY=1`` so sharded sweep workers inherit the same
-    scalar mode — the ledger's ``speedup`` then measures everything
-    DESIGN.md §15 adds (vectorized kernels + artifact reuse) against
-    the seed behaviour.
-    """
-    with perf.force_kernels(False):
-        previous = os.environ.get("REPRO_NO_NUMPY")
-        os.environ["REPRO_NO_NUMPY"] = "1"
-        try:
-            yield
-        finally:
-            if previous is None:
-                del os.environ["REPRO_NO_NUMPY"]
-            else:
-                os.environ["REPRO_NO_NUMPY"] = previous
-
-
 def run_scenario(
     scenario: BenchScenario,
     smoke: bool = False,
@@ -236,11 +213,11 @@ def run_scenario(
 
     Both runs resolve the same sweep at the same scale.  The
     ``artifacts_off`` leg runs with the artifact cache off *and* the
-    vectorized kernels forced to the scalar fallback (the seed
-    behaviour); the ``artifacts_on`` leg enables the artifact cache and
-    leaves the kernels in auto-detect.  Both start from a cold artifact
-    cache, so the measured speedup is within-sweep amortisation plus
-    the vectorized verification core — rows must still match exactly.
+    closed-form fast path off (the seed behaviour); the
+    ``artifacts_on`` leg enables the artifact cache and leaves the fast
+    path switch as it is.  Both start from a cold artifact cache, so
+    the measured speedup is within-sweep amortisation plus the fast
+    path — rows must still match exactly.
     """
     axis_overrides = dict(scenario.smoke_overrides if smoke else scenario.overrides)
     env_overrides = {f"env.{name}": value for name, value in scenario.env.items()}
@@ -260,7 +237,9 @@ def run_scenario(
         # Mission scenarios memoise executed missions per process; a
         # fair cache-off-vs-on comparison flies them from cold twice.
         clear_mission_memo()
-        runner = contextlib.nullcontext() if artifacts else _scalar_baseline()
+        # The baseline leg pins the scheduler (the seed behaviour); the
+        # switch's env var reaches sharded workers too.
+        runner = contextlib.nullcontext() if artifacts else perf.force_fastpath(False)
         with runner:
             started = time.perf_counter()
             figure = SWEEP_ENGINE.run(resolved, workers=workers)
@@ -299,8 +278,8 @@ def run_scenario(
         # parent (DESIGN.md §10.3), so the counters cover the whole
         # process tree for any worker count.
         "artifact_stats_scope": "process-tree",
-        # Kernel provenance of the accelerated leg: whether the
-        # vectorized core ran, and under which numpy.
+        # Engine provenance of the accelerated leg: whether the
+        # closed-form fast path was on.
         "kernel": perf.provenance(),
         "probe": probe,
     }
@@ -443,10 +422,7 @@ def describe_ledger(ledger: dict) -> str:
     hit_rate = stats.get("hit_rate", 0.0)
     equal = "rows ok" if ledger.get("rows_equal") else "ROWS DIFFER"
     kernel = ledger.get("kernel") or {}
-    if kernel.get("vectorized"):
-        mode = f"vec(numpy-{kernel.get('numpy')})"
-    else:
-        mode = "scalar"
+    mode = "fastpath" if kernel.get("fastpath") else "scheduler"
     return (
         f"{ledger['scenario']:<24} {walls['artifacts_off']:7.2f}s -> "
         f"{walls['artifacts_on']:7.2f}s  {ledger['speedup']:5.2f}x  "

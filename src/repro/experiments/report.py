@@ -5,11 +5,10 @@ correspond to a confidence interval of 95%" (Sec. V-B).  This module
 provides the matching aggregation (Student-t CIs) and the plain-text
 tables the benchmark harness prints next to the paper's numbers.
 
-The aggregation is deliberately dependency-free pure Python
-(DESIGN.md §15): rows feed content digests (golden suites, bench
-``rows_sha256`` gates, spec-keyed persistence), so the same inputs
-must produce bit-identical floats whether or not the optional
-``[perf]`` extra (numpy) is installed.  The Student-t critical values
+The aggregation is deliberately dependency-free pure Python: rows
+feed content digests (golden suites, bench ``rows_sha256`` gates,
+spec-keyed persistence), so the same inputs must produce bit-identical
+floats on every interpreter.  The Student-t critical values
 for the default 95% confidence level come from a precomputed constant
 table, which keeps the default path free of ``exp``/``log`` calls
 whose last-ulp behaviour varies across libm builds; other confidence
@@ -175,8 +174,7 @@ def aggregate(x: float, samples: Sequence[float], confidence: float = 0.95) -> P
     """Mean and Student-t confidence interval of one sweep cell.
 
     Sums run left-to-right in pure Python so the result is a
-    deterministic function of the sample sequence, identical with and
-    without the optional numpy dependency installed.
+    deterministic function of the sample sequence.
 
     Raises:
         ValueError: on an empty sample.

@@ -60,9 +60,9 @@ class ChannelState(abc.ABC):
 
     #: True only for the degenerate state that delivers every message
     #: and never consumes randomness — the eligibility predicate for
-    #: the vectorized trial fast path (:mod:`repro.perf.fastpath`),
-    #: which replays delivery as closed-form array passes and is only
-    #: exact when the channel is a no-op.
+    #: the closed-form trial fast path (:mod:`repro.perf.fastpath`),
+    #: which replays delivery as bitset passes and is only exact when
+    #: the channel is a no-op.
     always_delivers: bool = False
 
     @abc.abstractmethod

@@ -1,108 +1,59 @@
-"""Vectorized trial fast path and its switchboard (DESIGN.md §15).
+"""Closed-form trial fast path and its switch (DESIGN.md §15).
 
-This package hosts the numpy-accelerated closed-form trial engine
-(:mod:`repro.perf.fastpath`) plus the switchboard that decides whether
-it runs at all.  Vertex connectivity has no numpy path: it is one
-pure-Python function, :func:`repro.graphs.connectivity.vertex_connectivity`.
+This package hosts the closed-form trial engine
+(:mod:`repro.perf.fastpath`) plus the one switch that decides whether
+it runs at all.  Both are pure Python.
 
 The contract is strict equivalence: the fast path is a drop-in for the
 scheduler and must produce bit-identical observable results (verdicts,
-traffic bytes, figure rows, artefact payloads).
-numpy is therefore an *optional* dependency (the ``[perf]`` packaging
-extra): when it is missing — or disabled via the ``REPRO_NO_NUMPY``
-environment variable, or :func:`force_kernels` — callers silently take
-the scalar scheduler, and the outputs do not change by a single
-byte.  The equivalence is pinned by the fast-path equivalence tests
-and by the golden-row/bench row-sha gates in CI.
+traffic bytes, figure rows, artefact payloads).  The scheduler stays
+the reference it is tested against: ``REPRO_NO_FASTPATH=1`` (or
+:func:`force_fastpath`) sends every trial through it, and the outputs
+do not change by a single byte.  The equivalence is pinned by the
+fast-path equivalence tests and by the golden-row/bench row-sha gates
+in CI.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from types import ModuleType
 from typing import Iterator
 
-#: tri-state test/bench override: None = auto-detect, True = require
-#: numpy (raises if missing), False = scalar paths only.
-_FORCED: bool | None = None
-
-#: memoised import result; ``None`` means "not probed yet".
-_NUMPY: tuple[ModuleType | None] | None = None
+#: set to anything but "" or "0" to send every trial to the scheduler.
+_ENV_VAR = "REPRO_NO_FASTPATH"
 
 
-def numpy_or_none() -> ModuleType | None:
-    """The numpy module, or None when unavailable or switched off.
-
-    The ``REPRO_NO_NUMPY=1`` environment variable simulates an
-    environment without the ``[perf]`` extra (the CI fallback leg);
-    it is honoured even when numpy is importable.
-    """
-    global _NUMPY
-    if os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0"):
-        return None
-    if _NUMPY is None:
-        try:
-            import numpy  # noqa: PLC0415 - optional dependency probe
-        except ImportError:  # pragma: no cover - exercised via env gate
-            _NUMPY = (None,)
-        else:
-            _NUMPY = (numpy,)
-    return _NUMPY[0]
-
-
-def kernels_enabled() -> bool:
-    """Whether the vectorized fast path should run.
-
-    Auto-detection (numpy importable and not disabled) unless a
-    :func:`force_kernels` override is active.
-    """
-    if _FORCED is not None:
-        return _FORCED
-    return numpy_or_none() is not None
-
-
-def numpy_version() -> str | None:
-    """numpy's version string, or None when the kernels are scalar."""
-    module = numpy_or_none()
-    return getattr(module, "__version__", None) if module is not None else None
+def fastpath_enabled() -> bool:
+    """Whether eligible trials take the closed-form fast path."""
+    return os.environ.get(_ENV_VAR, "") in ("", "0")
 
 
 @contextmanager
-def force_kernels(enabled: bool | None) -> Iterator[None]:
-    """Temporarily force the kernels on, off, or back to auto (None).
+def force_fastpath(enabled: bool) -> Iterator[None]:
+    """Temporarily switch the fast path on or off.
 
-    Forcing ``True`` on a numpy-less interpreter raises immediately —
-    a bench asked to measure the vectorized mode must not silently
-    measure the fallback.
+    The override sets ``REPRO_NO_FASTPATH`` for its scope, so sharded
+    sweep workers started inside it inherit the same mode.
     """
-    global _FORCED
-    if enabled is True and numpy_or_none() is None:
-        raise RuntimeError(
-            "cannot force vectorized kernels on: numpy is not available "
-            "(install the [perf] extra or unset REPRO_NO_NUMPY)"
-        )
-    previous = _FORCED
-    _FORCED = enabled
+    previous = os.environ.get(_ENV_VAR)
+    os.environ[_ENV_VAR] = "0" if enabled else "1"
     try:
         yield
     finally:
-        _FORCED = previous
+        if previous is None:
+            del os.environ[_ENV_VAR]
+        else:
+            os.environ[_ENV_VAR] = previous
 
 
 def provenance() -> dict:
-    """Kernel provenance for ledgers: mode plus numpy version."""
-    vectorized = kernels_enabled()
-    return {
-        "vectorized": vectorized,
-        "numpy": numpy_version() if vectorized else None,
-    }
+    """Engine provenance for ledgers: whether the fast path is on."""
+    return {"fastpath": fastpath_enabled()}
 
 
 __all__ = [
-    "force_kernels",
-    "kernels_enabled",
-    "numpy_or_none",
-    "numpy_version",
+    "fastpath_enabled",
+    "force_fastpath",
     "provenance",
 ]

@@ -1,37 +1,37 @@
-"""Closed-form vectorized trial execution (DESIGN.md §15).
+"""Closed-form trial execution on Python-int bitsets (DESIGN.md §15).
 
 On the paper's own system model — reliable synchronous channels that
 deliver everything — the lock-step execution of the three protocol
 families is a *deterministic function of the topology and the
-adversary's silence pattern*.  Every acceptance time is a BFS distance
-along the directed delivery graph, every per-round send count follows
-from those times, and every envelope size is profile arithmetic.  The
-engine here evaluates those closed forms as numpy array passes, then
-materialises the per-node protocol end-state (discovered graphs,
+adversary's silence pattern*.  The engine here replays that function
+round by round on Python-int bitsets instead of envelopes: every
+per-round send count follows from which items each node learned in the
+previous round, and every envelope size is profile arithmetic.  It
+then materialises the per-node protocol end-state (discovered graphs,
 Bloom filters, known-id sets) and calls the real ``conclude()`` on
 every node — so verdicts are produced by the exact same decision code
-as the scalar path, and traffic is accounted byte-for-byte.
+as the scheduler, and traffic is accounted byte-for-byte.
 
-Closed forms, with D the delivery digraph (graph adjacency minus a
-two-faced node's ``silent_towards`` arcs) and ``d_D`` directed hop
-distances:
+D is the delivery digraph: graph adjacency minus a two-faced node's
+``silent_towards`` arcs.
 
-* **NECTAR** — announcement of edge (u, v) is accepted by node i at
-  round ``acc(i) = min(d_D(u→i), d_D(v→i))`` (0 for endpoints); the
-  accepted copy's sender is the smallest-id qualifying in-neighbor
-  (deliveries happen in sorted sender order); at round r a node
-  relays its round-(r−1) acceptances to every D-neighbor except each
-  announcement's source, inside one batch envelope per neighbor whose
-  size is exact profile arithmetic (chains carry r links in round r).
-  Source exclusion can never delay an acceptance: the excluded
-  neighbor is two rounds behind by construction.
-* **MtG** — a node's filter after epoch e is the bitwise OR of the
-  initial filters of every v with ``d_D(v→i) ≤ e`` (an all-ones page
-  for saturating nodes); a node gossips when its filter changed since
-  its last gossip (or on its periodic refresh), tracked on the actual
-  bit arrays so Bloom collisions behave exactly as in the scalar run.
-* **MtGv2** — the signed id of v reaches i at epoch ``d_D(v→i)``;
-  counts and source exclusion as in NECTAR, without chains.
+* **NECTAR and MtGv2** share :func:`_relay`.  Items are edges (NECTAR)
+  or signed node ids (MtGv2); bit k of a node's bitset stands for item
+  k.  The items node i holds after round d are
+  ``W_i[d] = W_i[d−1] | OR_{j∈in_D(i)} F_j[d−1]``, where ``F_j[d−1]``
+  are the items j accepted in round d−1 (its origins at d = 0),
+  iterated until a round sends nothing.  The accepted copy of an item
+  comes from the smallest-id in-neighbor that relayed it (deliveries
+  arrive in sorted sender order), so scanning in-neighbors in
+  ascending order yields each node's source exclusions.  At round r a
+  node relays ``F_i[r−1]`` to every D-neighbor except each item's
+  source, inside one batch envelope per neighbor (NECTAR chains carry
+  r links in round r).  A node that never receives an item never
+  holds its bit, however many rounds run.
+* **MtG** — Bloom pages are ints merged with OR.  A node gossips when
+  its filter changed since its last gossip (or on its periodic
+  refresh), compared on the actual bits so Bloom collisions behave
+  exactly as in the scheduler.
 
 Quiescence mirrors the scheduler exactly: the first round that emits
 zero envelopes is executed and then iteration stops (when the
@@ -40,9 +40,9 @@ quiescence skip is on).
 Eligibility is strict — ``sync`` backend, an always-delivering channel
 state, and a protocol population drawn entirely from one family's
 closed-form-safe types.  Anything else returns None and the caller
-runs the scalar scheduler.  One documented observability divergence:
-trials that reach this engine never touch the verification cache, so
-``cache_stats`` counters stay zero where the scalar path would count
+runs the scheduler.  One documented observability divergence: trials
+that reach this engine never touch the verification cache, so
+``cache_stats`` counters stay zero where the scheduler would count
 hits (verdicts, traffic and rows are unaffected; the affected
 configurations are FULL-mode runs with a cache and a two-faced
 adversary).
@@ -61,12 +61,12 @@ from repro.adversary.behaviors import (
 from repro.baselines.bloom import BloomFilter
 from repro.baselines.mtg import MtgNode
 from repro.baselines.mtgv2 import Mtgv2Node
+from repro.core.adjacency import DiscoveredGraph
 from repro.core.nectar import NectarNode
 from repro.crypto.sizes import WireProfile
 from repro.graphs.graph import Graph
 from repro.net.channel import ChannelModel
 from repro.net.stats import TrafficStats
-from repro.perf import numpy_or_none
 from repro.types import NodeId
 
 __all__ = ["try_run_trial"]
@@ -92,22 +92,21 @@ def try_run_trial(
     """Run one trial through the closed-form engine, if eligible.
 
     Returns ``(verdicts, stats, rounds_executed)`` — exactly what the
-    scalar ``SyncNetwork.run`` would have produced — or None when any
-    eligibility condition fails.
+    scheduler's ``SyncNetwork.run`` would have produced — or None when
+    any eligibility condition fails.
     """
-    np = numpy_or_none()
-    if np is None or rounds < 1:
+    if rounds < 1:
         return None
     state = channel.state(graph, seed)
     if not state.always_delivers:
         return None
     family = _classify(graph, protocols)
     if family == "nectar":
-        return _run_nectar(np, graph, protocols, profile, rounds, quiescence_skip)
+        return _run_nectar(graph, protocols, profile, rounds, quiescence_skip)
     if family == "mtg":
-        return _run_mtg(np, graph, protocols, profile, rounds, quiescence_skip)
+        return _run_mtg(graph, protocols, profile, rounds, quiescence_skip)
     if family == "mtgv2":
-        return _run_mtgv2(np, graph, protocols, profile, rounds, quiescence_skip)
+        return _run_mtgv2(graph, protocols, profile, rounds, quiescence_skip)
     return None
 
 
@@ -126,9 +125,9 @@ def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
             if validator.mode.value == "full" and validator.cache is not None:
                 uses_cache = True
         if uses_cache and not has_two_faced:
-            # FULL honest runs with a shared cache keep the scalar
-            # path: their cache-hit observability is pinned by tests,
-            # and deferred chain signing (repro.crypto.chain) already
+            # FULL honest runs with a shared cache keep the scheduler:
+            # their cache-hit observability is pinned by tests, and
+            # deferred chain signing (repro.crypto.chain) already
             # skips the signatures no receiver reads.
             return None
         return "nectar"
@@ -153,87 +152,127 @@ def _classify(graph: Graph, protocols: Mapping[NodeId, Any]) -> str | None:
     return None
 
 
-def _delivery_matrix(np, graph: Graph, protocols: Mapping[NodeId, Any]):
-    """Graph adjacency minus each two-faced node's silent arcs."""
-    matrix = np.zeros((graph.n, graph.n), dtype=bool)
-    for u, v in graph.edges():
-        matrix[u, v] = True
-        matrix[v, u] = True
-    for node_id, p in protocols.items():
-        silent = getattr(p, "_silent_towards", None)
-        if silent:
-            for target in silent:
-                if 0 <= target < graph.n:
-                    matrix[node_id, target] = False
-    return matrix
+# ----------------------------------------------------------------------
+# Shared helpers
+# ----------------------------------------------------------------------
+def _delivery_arcs(
+    graph: Graph, protocols: Mapping[NodeId, Any]
+) -> tuple[list[list[NodeId]], list[list[NodeId]]]:
+    """Sorted out- and in-neighbor lists of the delivery digraph D."""
+    n = graph.n
+    out_arcs: list[list[NodeId]] = []
+    in_arcs: list[list[NodeId]] = [[] for _ in range(n)]
+    for node_id in range(n):
+        silent = getattr(protocols[node_id], "_silent_towards", ())
+        targets = sorted(v for v in graph.neighbors(node_id) if v not in silent)
+        out_arcs.append(targets)
+        for target in targets:
+            in_arcs[target].append(node_id)
+    return out_arcs, in_arcs
 
 
-def _directed_distances(np, matrix):
-    """All-pairs hop distances along a directed boolean matrix.
-
-    ``matrix[s, j]`` means s reaches j in one hop.  Returns an int32
-    array ``dist`` with ``dist[u, i]`` the shortest hop count u → i and
-    ``n + 1`` as the unreachable sentinel (strictly larger than any
-    real distance, so ``min`` folds stay correct).  Runs as boolean
-    matrix-matrix BFS level fronts: one matmul per BFS depth advances
-    every source at once.
-    """
-    n = matrix.shape[0]
-    step = np.ascontiguousarray(matrix, dtype=np.uint8)
-    dist = np.full((n, n), n + 1, dtype=np.int32)
-    reach = np.eye(n, dtype=bool)
-    np.fill_diagonal(dist, 0)
-    frontier = reach.copy()
-    depth = 0
-    while True:
-        depth += 1
-        advanced = (frontier.astype(np.uint8) @ step) > 0
-        frontier = advanced & ~reach
-        if not frontier.any():
-            break
-        dist[frontier] = depth
-        reach |= frontier
-    return dist
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    binary = bin(mask)[:1:-1]
+    return [index for index, bit in enumerate(binary) if bit == "1"]
 
 
-def _fill_stats(
-    np, stats: TrafficStats, sent_bytes, sent_msgs, recv_bytes, recv_msgs
-) -> None:
-    for node in np.flatnonzero(sent_msgs):
-        node = int(node)
-        stats.record_send_bulk(node, int(sent_bytes[node]), int(sent_msgs[node]))
-    for node in np.flatnonzero(recv_msgs):
-        node = int(node)
-        stats.record_receive_bulk(node, int(recv_bytes[node]), int(recv_msgs[node]))
+class _Traffic:
+    """Per-node send/receive accumulators, flushed into TrafficStats."""
+
+    def __init__(self, n: int) -> None:
+        self.sent_bytes = [0] * n
+        self.sent_msgs = [0] * n
+        self.recv_bytes = [0] * n
+        self.recv_msgs = [0] * n
+
+    def stats(self) -> TrafficStats:
+        stats = TrafficStats()
+        for node, count in enumerate(self.sent_msgs):
+            if count:
+                stats.record_send_bulk(node, self.sent_bytes[node], count)
+        for node, count in enumerate(self.recv_msgs):
+            if count:
+                stats.record_receive_bulk(node, self.recv_bytes[node], count)
+        return stats
 
 
 def _conclude_all(protocols: Mapping[NodeId, Any]) -> dict[NodeId, Any]:
     return {node_id: protocols[node_id].conclude() for node_id in sorted(protocols)}
 
 
-def _acceptance_sources(np, delivery, acc_rows):
-    """Per item-row, the smallest-id sender of each first acceptance.
+# ----------------------------------------------------------------------
+# NECTAR and MtGv2: relay-once flooding with source exclusion
+# ----------------------------------------------------------------------
+def _relay(
+    out_arcs: list[list[NodeId]],
+    in_arcs: list[list[NodeId]],
+    origins: list[int],
+    rounds: int,
+    quiescence_skip: bool,
+    header: int,
+    entry_bytes: int,
+    link_bytes: int,
+) -> tuple[list[int], _Traffic, int]:
+    """Flood item bitsets over D; return held items, traffic, rounds run.
 
-    ``acc_rows[k, i]`` is the acceptance round of item k at node i;
-    the source is the smallest s with an arc s→i and
-    ``acc[s] == acc[i] - 1`` (deliveries arrive in sorted sender
-    order), or -1 for originators.
+    Every node relays the items it accepted in the previous round (its
+    ``origins`` in round 1) once, to every D-neighbor except the item's
+    source; an envelope of ``count`` items in round r is
+    ``header + count * (entry_bytes + r * link_bytes)`` bytes.
     """
-    items = acc_rows.shape[0]
-    src = np.full(acc_rows.shape, -1, dtype=np.int64)
-    for k in range(items):
-        acc = acc_rows[k]
-        candidates = delivery & (acc[:, None] + 1 == acc[None, :])
-        has_candidate = candidates.any(axis=0)
-        src[k] = np.where(has_candidate, candidates.argmax(axis=0), -1)
-    return src
+    n = len(origins)
+    traffic = _Traffic(n)
+    sent_bytes, sent_msgs = traffic.sent_bytes, traffic.sent_msgs
+    recv_bytes, recv_msgs = traffic.recv_bytes, traffic.recv_msgs
+    held = list(origins)
+    fresh = list(origins)
+    # excluded[i][j]: how many of fresh[i] came from in-neighbor j.
+    excluded: list[dict[NodeId, int]] = [{} for _ in range(n)]
+    rounds_executed = rounds
+    for round_number in range(1, rounds + 1):
+        per_entry = entry_bytes + round_number * link_bytes
+        sent_any = False
+        for node in range(n):
+            items = fresh[node]
+            if not items:
+                continue
+            total = items.bit_count()
+            sources = excluded[node]
+            for target in out_arcs[node]:
+                count = total - sources.get(target, 0)
+                if count:
+                    size = header + count * per_entry
+                    sent_bytes[node] += size
+                    sent_msgs[node] += 1
+                    recv_bytes[target] += size
+                    recv_msgs[target] += 1
+                    sent_any = True
+        if not sent_any:
+            # Nothing sent means nothing delivered: every later round
+            # is silent too, so only the executed-round count differs.
+            if quiescence_skip:
+                rounds_executed = round_number
+            break
+        accepted = []
+        for node in range(n):
+            missing = ~held[node]
+            gained = 0
+            sources = {}
+            for sender in in_arcs[node]:
+                got = fresh[sender] & missing
+                if got:
+                    sources[sender] = got.bit_count()
+                    gained |= got
+                    missing ^= got
+            held[node] |= gained
+            accepted.append(gained)
+            excluded[node] = sources
+        fresh = accepted
+    return held, traffic, rounds_executed
 
 
-# ----------------------------------------------------------------------
-# NECTAR
-# ----------------------------------------------------------------------
 def _run_nectar(
-    np,
     graph: Graph,
     protocols: Mapping[NodeId, Any],
     profile: WireProfile,
@@ -241,73 +280,82 @@ def _run_nectar(
     quiescence_skip: bool,
 ):
     n = graph.n
-    delivery = _delivery_matrix(np, graph, protocols)
     edges = sorted(graph.edges())
-    m = len(edges)
-    dist = _directed_distances(np, delivery)
-    lo = np.fromiter((edge[0] for edge in edges), dtype=np.int64, count=m)
-    hi = np.fromiter((edge[1] for edge in edges), dtype=np.int64, count=m)
-    acc = np.minimum(dist[lo], dist[hi]) if m else np.zeros((0, n), dtype=np.int32)
-    src = _acceptance_sources(np, delivery, acc)
-
-    header = profile.envelope_header_bytes + _NECTAR_BATCH_COUNT_BYTES
-    per_entry = profile.proof_bytes + _NECTAR_CHAIN_COUNT_BYTES
-    link_bytes = profile.chain_link_bytes
-
-    sent_bytes = np.zeros(n, dtype=np.int64)
-    sent_msgs = np.zeros(n, dtype=np.int64)
-    recv_bytes = np.zeros(n, dtype=np.int64)
-    recv_msgs = np.zeros(n, dtype=np.int64)
-
-    rounds_executed = rounds
-    for round_number in range(1, rounds + 1):
-        relayed = acc == (round_number - 1)
-        pending = relayed.sum(axis=0)
-        exclusions = np.zeros((n, n), dtype=np.int64)
-        sourced = relayed & (src >= 0)
-        if sourced.any():
-            item_idx, sender_idx = np.nonzero(sourced)
-            np.add.at(exclusions, (sender_idx, src[item_idx, sender_idx]), 1)
-        counts = np.where(delivery, pending[:, None] - exclusions, 0)
-        envelopes = counts > 0
-        if not envelopes.any():
-            if quiescence_skip:
-                rounds_executed = round_number
-                break
-            continue
-        sizes = np.where(
-            envelopes,
-            header + counts * (per_entry + round_number * link_bytes),
-            0,
-        )
-        sent_bytes += sizes.sum(axis=1)
-        sent_msgs += envelopes.sum(axis=1)
-        recv_bytes += sizes.sum(axis=0)
-        recv_msgs += envelopes.sum(axis=0)
-
-    stats = TrafficStats()
-    _fill_stats(np, stats, sent_bytes, sent_msgs, recv_bytes, recv_msgs)
+    origins = [0] * n
+    for index, (u, v) in enumerate(edges):
+        bit = 1 << index
+        origins[u] |= bit
+        origins[v] |= bit
+    out_arcs, in_arcs = _delivery_arcs(graph, protocols)
+    held, traffic, rounds_executed = _relay(
+        out_arcs,
+        in_arcs,
+        origins,
+        rounds,
+        quiescence_skip,
+        header=profile.envelope_header_bytes + _NECTAR_BATCH_COUNT_BYTES,
+        entry_bytes=profile.proof_bytes + _NECTAR_CHAIN_COUNT_BYTES,
+        link_bytes=profile.chain_link_bytes,
+    )
 
     # Materialise each node's discovered graph from the shared proof
-    # objects (the same objects the scalar run would have delivered),
-    # then decide with the real decision code.
+    # objects (the same objects the scheduler would have delivered),
+    # then decide with the real decision code.  Nodes that end with
+    # the same edge set (all correct nodes of a connected run, by
+    # Lemma 2) get copies of one graph built once.
     proof_by_edge = {}
     for p in protocols.values():
         for proof in p._neighbor_proofs.values():
             proof_by_edge[proof.edge] = proof
-    accepted = (acc >= 1) & (acc <= rounds_executed)
+    built: dict[int, DiscoveredGraph] = {}
     for node_id in range(n):
-        discovered = protocols[node_id]._discovered
-        for item in np.flatnonzero(accepted[:, node_id]):
-            discovered.add(proof_by_edge[edges[int(item)]])
-    return _conclude_all(protocols), stats, rounds_executed
+        items = held[node_id]
+        template = built.get(items)
+        if template is None:
+            template = built[items] = DiscoveredGraph(n)
+            for index in _bits(items):
+                template.add(proof_by_edge[edges[index]])
+        protocols[node_id]._discovered = template.copy()
+    return _conclude_all(protocols), traffic.stats(), rounds_executed
+
+
+def _run_mtgv2(
+    graph: Graph,
+    protocols: Mapping[NodeId, Any],
+    profile: WireProfile,
+    rounds: int,
+    quiescence_skip: bool,
+):
+    n = graph.n
+    origins = [1 << node_id for node_id in range(n)]
+    out_arcs, in_arcs = _delivery_arcs(graph, protocols)
+    held, traffic, rounds_executed = _relay(
+        out_arcs,
+        in_arcs,
+        origins,
+        rounds,
+        quiescence_skip,
+        header=(
+            profile.envelope_header_bytes
+            + profile.epoch_header_bytes
+            + _MTGV2_COUNT_BYTES
+        ),
+        entry_bytes=profile.signed_id_bytes(),
+        link_bytes=0,
+    )
+
+    own_ids = [protocols[node_id]._known[node_id] for node_id in range(n)]
+    for node_id in range(n):
+        known = protocols[node_id]._known
+        for item in _bits(held[node_id] & ~origins[node_id]):
+            known[item] = own_ids[item]
+    return _conclude_all(protocols), traffic.stats(), rounds_executed
 
 
 # ----------------------------------------------------------------------
 # MtG
 # ----------------------------------------------------------------------
 def _run_mtg(
-    np,
     graph: Graph,
     protocols: Mapping[NodeId, Any],
     profile: WireProfile,
@@ -315,134 +363,68 @@ def _run_mtg(
     quiescence_skip: bool,
 ):
     n = graph.n
-    delivery = _delivery_matrix(np, graph, protocols)
+    out_arcs, in_arcs = _delivery_arcs(graph, protocols)
     sample = protocols[0]._filter
     bit_count, hash_count = sample.bit_count, sample.hash_count
     page = bit_count // 8
+    full_page = (1 << bit_count) - 1
 
-    filters = np.zeros((n, page), dtype=np.uint8)
-    saturating = np.zeros(n, dtype=bool)
-    periods = np.zeros(n, dtype=np.int64)
-    for node_id in range(n):
-        p = protocols[node_id]
-        filters[node_id] = np.frombuffer(p._filter.to_bytes(), dtype=np.uint8)
-        saturating[node_id] = type(p) is SaturatingMtgNode
-        periods[node_id] = p._resend_period
-
-    last_sent = np.zeros((n, page), dtype=np.uint8)
-    last_valid = np.zeros(n, dtype=bool)
-    out_degree = delivery.sum(axis=1)
+    filters = [
+        int.from_bytes(protocols[node_id]._filter.to_bytes(), "big")
+        for node_id in range(n)
+    ]
+    saturating = [type(protocols[node]) is SaturatingMtgNode for node in range(n)]
+    periods = [protocols[node]._resend_period for node in range(n)]
+    # None until a node first gossips.
+    last_sent: list[int | None] = [None] * n
     envelope_size = (
         profile.envelope_header_bytes
         + profile.epoch_header_bytes
         + _BLOOM_GEOMETRY_BYTES
         + page
     )
-
-    sent_bytes = np.zeros(n, dtype=np.int64)
-    sent_msgs = np.zeros(n, dtype=np.int64)
-    recv_bytes = np.zeros(n, dtype=np.int64)
-    recv_msgs = np.zeros(n, dtype=np.int64)
+    traffic = _Traffic(n)
 
     rounds_executed = rounds
     for round_number in range(1, rounds + 1):
-        current = filters.copy()
-        current[saturating] = 0xFF
-        periodic = (periods > 0) & (
-            np.mod(round_number, np.where(periods > 0, periods, 1)) == 0
-        )
-        changed = ~last_valid | (current != last_sent).any(axis=1)
-        gossiping = changed | periodic
-        # The scalar node snapshots last_sent before its sends are
-        # filtered, so even a fully-silenced gossiper updates it.
-        last_sent[gossiping] = current[gossiping]
-        last_valid |= gossiping
-        effective = gossiping & (out_degree > 0)
-        if not effective.any():
+        current = [
+            full_page if saturating[node] else filters[node] for node in range(n)
+        ]
+        gossiping = [False] * n
+        sent_any = False
+        for node in range(n):
+            period = periods[node]
+            periodic = period > 0 and round_number % period == 0
+            if not periodic and current[node] == last_sent[node]:
+                continue
+            # The node snapshots last_sent before its sends are
+            # filtered, so even a fully-silenced gossiper updates it.
+            last_sent[node] = current[node]
+            gossiping[node] = True
+            degree = len(out_arcs[node])
+            if degree:
+                traffic.sent_bytes[node] += degree * envelope_size
+                traffic.sent_msgs[node] += degree
+                sent_any = True
+        if not sent_any:
             if quiescence_skip:
                 rounds_executed = round_number
                 break
             continue
-        sent_bytes += np.where(effective, out_degree * envelope_size, 0)
-        sent_msgs += np.where(effective, out_degree, 0)
-        arriving = delivery & gossiping[:, None]
-        arrivals_per_node = arriving.sum(axis=0)
-        recv_bytes += arrivals_per_node * envelope_size
-        recv_msgs += arrivals_per_node
-        for node_id in np.flatnonzero(arrivals_per_node):
-            node_id = int(node_id)
-            senders = np.flatnonzero(arriving[:, node_id])
-            filters[node_id] |= np.bitwise_or.reduce(current[senders], axis=0)
-
-    stats = TrafficStats()
-    _fill_stats(np, stats, sent_bytes, sent_msgs, recv_bytes, recv_msgs)
+        for node in range(n):
+            merged = filters[node]
+            arrivals = 0
+            for sender in in_arcs[node]:
+                if gossiping[sender]:
+                    merged |= current[sender]
+                    arrivals += 1
+            if arrivals:
+                filters[node] = merged
+                traffic.recv_bytes[node] += arrivals * envelope_size
+                traffic.recv_msgs[node] += arrivals
 
     for node_id in range(n):
         protocols[node_id]._filter = BloomFilter.from_bytes(
-            bit_count, hash_count, bytes(filters[node_id])
+            bit_count, hash_count, filters[node_id].to_bytes(page, "big")
         )
-    return _conclude_all(protocols), stats, rounds_executed
-
-
-# ----------------------------------------------------------------------
-# MtGv2
-# ----------------------------------------------------------------------
-def _run_mtgv2(
-    np,
-    graph: Graph,
-    protocols: Mapping[NodeId, Any],
-    profile: WireProfile,
-    rounds: int,
-    quiescence_skip: bool,
-):
-    n = graph.n
-    delivery = _delivery_matrix(np, graph, protocols)
-    # acc[v, i]: the epoch id v reaches node i (0 at its owner).
-    acc = _directed_distances(np, delivery)
-    src = _acceptance_sources(np, delivery, acc)
-
-    header = (
-        profile.envelope_header_bytes
-        + profile.epoch_header_bytes
-        + _MTGV2_COUNT_BYTES
-    )
-    entry_bytes = profile.signed_id_bytes()
-
-    sent_bytes = np.zeros(n, dtype=np.int64)
-    sent_msgs = np.zeros(n, dtype=np.int64)
-    recv_bytes = np.zeros(n, dtype=np.int64)
-    recv_msgs = np.zeros(n, dtype=np.int64)
-
-    rounds_executed = rounds
-    for round_number in range(1, rounds + 1):
-        relayed = acc == (round_number - 1)
-        pending = relayed.sum(axis=0)
-        exclusions = np.zeros((n, n), dtype=np.int64)
-        sourced = relayed & (src >= 0)
-        if sourced.any():
-            item_idx, sender_idx = np.nonzero(sourced)
-            np.add.at(exclusions, (sender_idx, src[item_idx, sender_idx]), 1)
-        counts = np.where(delivery, pending[:, None] - exclusions, 0)
-        envelopes = counts > 0
-        if not envelopes.any():
-            if quiescence_skip:
-                rounds_executed = round_number
-                break
-            continue
-        sizes = np.where(envelopes, header + counts * entry_bytes, 0)
-        sent_bytes += sizes.sum(axis=1)
-        sent_msgs += envelopes.sum(axis=1)
-        recv_bytes += sizes.sum(axis=0)
-        recv_msgs += envelopes.sum(axis=0)
-
-    stats = TrafficStats()
-    _fill_stats(np, stats, sent_bytes, sent_msgs, recv_bytes, recv_msgs)
-
-    own_ids = {node_id: protocols[node_id]._known[node_id] for node_id in range(n)}
-    accepted = (acc >= 1) & (acc <= rounds_executed)
-    for node_id in range(n):
-        known = protocols[node_id]._known
-        for item in np.flatnonzero(accepted[:, node_id]):
-            item = int(item)
-            known[item] = own_ids[item]
-    return _conclude_all(protocols), stats, rounds_executed
+    return _conclude_all(protocols), traffic.stats(), rounds_executed

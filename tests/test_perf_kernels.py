@@ -1,11 +1,13 @@
-"""Equivalence suite for the vectorized verification core (DESIGN.md §15).
+"""Equivalence suite for the closed-form trial fast path (DESIGN.md §15).
 
 The closed-form fast path in :mod:`repro.perf` is a drop-in
 accelerator for the scheduler; these tests pin the contract that makes
 that safe:
 
-* the closed-form trial fast path reproduces the scalar scheduler's
-  verdicts and traffic byte-for-byte;
+* the closed-form trial fast path reproduces the scheduler's verdicts
+  and traffic byte-for-byte, including on random graphs with one
+  two-faced node and run lengths past quiescence;
+* fast-path trials run without numpy;
 * honest FULL trials sign only the chain links someone reads, with the
   same verdicts and traffic on every path;
 * the fast path's wire-framing constants match the payloads' real
@@ -14,8 +16,17 @@ that safe:
   leaves figure rows bit-identical to the scalar leg.
 """
 
-import pytest
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import repro
 from repro import perf
 from repro.baselines.mtg import BloomPayload, mtg_epoch_count
 from repro.baselines.mtgv2 import SignedId, SignedIdsPayload
@@ -31,17 +42,14 @@ from repro.experiments.runner import (
     baseline_cost_trial,
     honest_mtg_factory,
     honest_mtgv2_factory,
+    honest_nectar_factory,
     nectar_cost_trial,
     run_trial,
 )
 from repro.graphs.generators.regular import harary_graph
+from repro.graphs.graph import Graph
 from repro.net.message import Envelope
 from repro.perf import fastpath
-
-requires_numpy = pytest.mark.skipif(
-    perf.numpy_or_none() is None,
-    reason="numpy unavailable (fallback leg): no vectorized path to compare",
-)
 
 _SCHEME = HmacScheme()
 _STORE = build_keystore(_SCHEME, 8, seed=41)
@@ -114,32 +122,30 @@ def _snapshot(result):
 
 def _both_legs(trial):
     clear_connectivity_cache()
-    with perf.force_kernels(False):
+    with perf.force_fastpath(False):
         scalar = _snapshot(trial())
     clear_connectivity_cache()
-    vectorized = _snapshot(trial())
-    return scalar, vectorized
+    with perf.force_fastpath(True):
+        fast = _snapshot(trial())
+    return scalar, fast
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fastpath_nectar_cost_matches_scalar(seed):
     graph = harary_graph(4, 11 + seed)
-    scalar, vectorized = _both_legs(lambda: nectar_cost_trial(graph, seed=seed))
-    assert scalar == vectorized
+    scalar, fast = _both_legs(lambda: nectar_cost_trial(graph, seed=seed))
+    assert scalar == fast
 
 
-@requires_numpy
 @pytest.mark.parametrize("protocol", ["mtg", "mtgv2"])
 def test_fastpath_baselines_match_scalar(protocol):
     graph = harary_graph(3, 10)
-    scalar, vectorized = _both_legs(
+    scalar, fast = _both_legs(
         lambda: baseline_cost_trial(graph, protocol, seed=5)
     )
-    assert scalar == vectorized
+    assert scalar == fast
 
 
-@requires_numpy
 def test_fastpath_two_faced_nectar_matches_scalar():
     from repro.adversary.behaviors import TwoFacedNectarNode
 
@@ -158,7 +164,7 @@ def test_fastpath_two_faced_nectar_matches_scalar():
             silent_towards=silent,
         )
 
-    scalar, vectorized = _both_legs(
+    scalar, fast = _both_legs(
         lambda: run_trial(
             graph,
             t=2,
@@ -169,10 +175,9 @@ def test_fastpath_two_faced_nectar_matches_scalar():
             with_ground_truth=False,
         )
     )
-    assert scalar == vectorized
+    assert scalar == fast
 
 
-@requires_numpy
 @pytest.mark.parametrize(
     "honest_factory", [honest_mtg_factory, honest_mtgv2_factory]
 )
@@ -196,7 +201,7 @@ def test_fastpath_adversarial_baselines_match_scalar(honest_factory):
                 silent_towards=frozenset({2, 5}),
             )
         }
-    scalar, vectorized = _both_legs(
+    scalar, fast = _both_legs(
         lambda: run_trial(
             graph,
             t=1,
@@ -207,10 +212,9 @@ def test_fastpath_adversarial_baselines_match_scalar(honest_factory):
             with_ground_truth=False,
         )
     )
-    assert scalar == vectorized
+    assert scalar == fast
 
 
-@requires_numpy
 def test_fastpath_lossy_channel_stays_scalar():
     """A channel that can drop messages is ineligible: both legs run
     the scalar scheduler and the loss-RNG stream stays bit-exact."""
@@ -218,10 +222,159 @@ def test_fastpath_lossy_channel_stays_scalar():
 
     graph = harary_graph(3, 9)
     env = EnvironmentSpec(loss_rate=0.3)
-    scalar, vectorized = _both_legs(
+    scalar, fast = _both_legs(
         lambda: nectar_cost_trial(graph, seed=4, env=env)
     )
-    assert scalar == vectorized
+    assert scalar == fast
+
+
+# ----------------------------------------------------------------------
+# Property: fast path ≡ scheduler under one two-faced node
+# ----------------------------------------------------------------------
+def _two_faced_factory(protocol, silent):
+    from repro.adversary.behaviors import (
+        TwoFacedMtgNode,
+        TwoFacedMtgv2Node,
+        TwoFacedNectarNode,
+    )
+
+    def factory(setup):
+        keys = setup.key_store
+        if protocol == "nectar":
+            return TwoFacedNectarNode(
+                setup.node_id,
+                setup.n,
+                setup.t,
+                keys.key_pair_of(setup.node_id),
+                setup.scheme,
+                keys.directory,
+                setup.neighbor_proofs,
+                silent_towards=silent,
+            )
+        if protocol == "mtg":
+            return TwoFacedMtgNode(
+                setup.node_id, setup.n, setup.neighbors, silent_towards=silent
+            )
+        return TwoFacedMtgv2Node(
+            setup.node_id,
+            setup.n,
+            setup.neighbors,
+            keys.key_pair_of(setup.node_id),
+            setup.scheme,
+            keys.directory,
+            silent_towards=silent,
+        )
+
+    return factory
+
+
+_HONEST_FACTORIES = {
+    "nectar": honest_nectar_factory,
+    "mtg": honest_mtg_factory,
+    "mtgv2": honest_mtgv2_factory,
+}
+
+
+@st.composite
+def _two_faced_trials(draw):
+    """A random graph (n ≤ 12) with one two-faced node and a run shape."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(
+        st.lists(st.sampled_from(possible), max_size=len(possible), unique=True)
+    )
+    graph = Graph(n, edges)
+    byzantine = draw(st.integers(min_value=0, max_value=n - 1))
+    neighbors = sorted(graph.neighbors(byzantine))
+    silent = frozenset()
+    if neighbors:
+        silent = draw(st.frozensets(st.sampled_from(neighbors)))
+    return (
+        draw(st.sampled_from(sorted(_HONEST_FACTORIES))),
+        graph,
+        byzantine,
+        silent,
+        draw(st.integers(min_value=1, max_value=n + 3)),
+        draw(st.booleans()),
+        draw(st.integers(min_value=0, max_value=2**16)),
+    )
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_two_faced_trials())
+# Nodes cut off by the two-faced node must never accept what cannot
+# reach them, however many rounds run past quiescence.
+@example(("nectar", Graph(4, [(0, 1), (1, 2), (2, 3)]), 1, frozenset({2}), 6, False, 3))
+@example(("mtgv2", Graph(4, [(0, 1), (1, 2), (2, 3)]), 1, frozenset({2}), 5, False, 3))
+def test_fastpath_matches_scheduler_under_two_faced_node(case):
+    protocol, graph, byzantine, silent, rounds, skip, seed = case
+    from repro.experiments.envspec import EnvironmentSpec
+
+    def trial():
+        return run_trial(
+            graph,
+            t=1,
+            seed=seed,
+            honest_factory=_HONEST_FACTORIES[protocol],
+            byzantine_factories={byzantine: _two_faced_factory(protocol, silent)},
+            rounds=rounds,
+            with_ground_truth=False,
+            env=EnvironmentSpec(quiescence_skip=skip),
+        )
+
+    scalar, fast = _both_legs(trial)
+    assert scalar == fast
+
+
+# ----------------------------------------------------------------------
+# The fast path is pure Python: no numpy on any trial path
+# ----------------------------------------------------------------------
+_NO_NUMPY_PROBE = """
+import json, sys
+from repro.experiments.runner import nectar_cost_trial
+from repro.experiments.spec import SWEEP_ENGINE
+from repro.graphs.generators.regular import harary_graph
+from repro.perf import fastpath
+
+taken = []
+plain = fastpath.try_run_trial
+
+def counting(*args, **kwargs):
+    result = plain(*args, **kwargs)
+    taken.append(result is not None)
+    return result
+
+fastpath.try_run_trial = counting
+nectar_cost_trial(harary_graph(4, 20), seed=0)
+SWEEP_ENGINE.run(
+    "connectivity-resilience",
+    overrides={"families": ("k-diamond",), "n": 10, "k": 4, "ts": (1,), "trials": 1},
+)
+print(json.dumps({"numpy": "numpy" in sys.modules, "taken": taken}))
+"""
+
+
+def test_fastpath_trials_never_import_numpy():
+    env = dict(os.environ)
+    env.pop("REPRO_NO_FASTPATH", None)
+    env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    # One fig3 cost trial plus the two-faced resilience cell's trials,
+    # every one of them on the fast path.
+    assert len(report["taken"]) >= 2 and all(report["taken"])
+    assert report["numpy"] is False
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +428,7 @@ def test_honest_full_trial_signs_only_read_links(monkeypatch):
     assert trial() == (shared, signs, links)
     # Without a cache the fast path would take the trial; keep it on
     # the scheduler so every link goes through plain verify_chain.
-    with perf.force_kernels(False):
+    with perf.force_fastpath(False):
         uncached = trial(verification_cache=False)[0]
     # The asyncio backend encodes every envelope, which reads (and so
     # signs) every link: same rows, no savings.
@@ -324,7 +477,7 @@ def test_warmed_sweep_rows_match_scalar_leg(monkeypatch):
             for series in figure.series
         ]
 
-    with perf.force_kernels(False):
+    with perf.force_fastpath(False):
         scalar = rows()
     assert warmed == 0
     assert rows(**{"env.artifacts": True}) == scalar
