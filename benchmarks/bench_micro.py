@@ -21,6 +21,7 @@ from repro.graphs.connectivity import (
 )
 from repro.graphs.generators.drone import drone_graph
 from repro.graphs.generators.regular import harary_graph
+from repro.graphs.graph import Graph
 
 
 def test_hmac_sign(benchmark):
@@ -79,10 +80,21 @@ def test_vertex_connectivity_with_cutoff(benchmark):
 
 
 def test_local_connectivity_cutoff_2(benchmark):
-    """The cutoff <= 2 fast path: degree bound + at most two shortest-
-    path augmentations instead of full Dinic level phases."""
+    """κ(s, t) truncated at 2: the flow stops after two shortest-path
+    augmentations, without the search that would prove maximality."""
     graph = harary_graph(6, 40)
     benchmark(local_connectivity, graph, 0, 20, 2)
+
+
+def test_vertex_connectivity_sparse_kappa_1(benchmark):
+    """A sparse κ = 1 graph (two 20-cycles sharing vertex 0): the pair
+    walk stops as soon as one flow of 1 is found."""
+    edges = []
+    for cycle in ([0, *range(1, 20)], [0, *range(20, 39)]):
+        edges += [(cycle[i], cycle[(i + 1) % 20]) for i in range(20)]
+    graph = Graph(39, edges)
+    assert vertex_connectivity(graph) == 1
+    benchmark(vertex_connectivity, graph)
 
 
 def test_is_byzantine_partitionable_t1(benchmark):

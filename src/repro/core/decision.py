@@ -24,35 +24,69 @@ cuts the graph.
 Because Lemma 2 guarantees all correct nodes end with the *same*
 discovered graph whenever their subgraph is connected, the (costly)
 connectivity computation is shared across nodes of a run through a
-small memoisation keyed by the edge set.
+small memo keyed by the edge set.  The memo keeps the strongest fact
+known about each graph — κ exactly, or only κ >= c after a query
+truncated at c — so one entry answers queries at every cutoff it
+covers.  The ground truth of :mod:`repro.experiments.runner` reads
+the same memo.
 """
 
 from __future__ import annotations
-
-import functools
 
 from repro.core.adjacency import DiscoveredGraph
 from repro.graphs.connectivity import vertex_connectivity
 from repro.graphs.graph import Graph
 from repro.types import Decision, Edge, Verdict
 
+#: Entries kept by the connectivity memo (least recently used go first).
+_MEMO_SIZE = 128
 
-@functools.lru_cache(maxsize=128)
-def _cached_connectivity(
-    n: int, edges: frozenset[Edge], cutoff: int | None
+#: (n, edges) -> (value, exact): κ == value when ``exact``, else κ >= value.
+#: Insertion order is recency order: a hit is popped and re-inserted.
+_connectivity_memo: dict[tuple[int, frozenset[Edge]], tuple[int, bool]] = {}
+
+
+def memoised_connectivity(
+    n: int,
+    edges: frozenset[Edge],
+    cutoff: int | None = None,
+    graph: Graph | None = None,
 ) -> int:
-    """Vertex connectivity of the graph (n, edges), memoised.
+    """``min(κ, cutoff)`` of the graph (n, edges), memoised.
 
     All correct nodes of a run typically share one discovered edge set
-    (Lemma 2), so a run costs one connectivity computation instead of
-    one per node.
+    (Lemma 2), and the ground truth asks about the same graphs, so a
+    run costs one connectivity computation instead of one per query.
+    A stored fact answers without max-flow work when it is exact, or
+    when it is a lower bound at least ``cutoff``; otherwise κ is
+    computed again and the stronger fact replaces it.
+
+    Args:
+        graph: the graph itself, when the caller already holds it;
+            built from ``n`` and ``edges`` otherwise.
     """
-    return vertex_connectivity(Graph(n, edges), cutoff=cutoff)
+    key = (n, edges)
+    # One lookup per hit: comparing equal edge sets is O(|E|).
+    fact = _connectivity_memo.pop(key, None)
+    if fact is not None:
+        value, exact = fact
+        if exact or (cutoff is not None and cutoff <= value):
+            _connectivity_memo[key] = fact
+            return value if cutoff is None else min(value, cutoff)
+    if graph is None:
+        graph = Graph(n, edges)
+    kappa = vertex_connectivity(graph, cutoff=cutoff)
+    # vertex_connectivity returns min(κ, cutoff): below the cutoff the
+    # value is κ itself, at the cutoff only a lower bound.
+    _connectivity_memo[key] = (kappa, cutoff is None or kappa < cutoff)
+    if len(_connectivity_memo) > _MEMO_SIZE:
+        del _connectivity_memo[next(iter(_connectivity_memo))]
+    return kappa
 
 
 def clear_connectivity_cache() -> None:
     """Drop memoised connectivity results (tests and long sweeps)."""
-    _cached_connectivity.cache_clear()
+    _connectivity_memo.clear()
 
 
 def decide(
@@ -98,7 +132,7 @@ def decide(
             reachable=r,
             connectivity=None,
         )
-    k = _cached_connectivity(n, discovered.edges(), connectivity_cutoff)
+    k = memoised_connectivity(n, discovered.edges(), connectivity_cutoff)
     if k > t:
         return Verdict(
             decision=Decision.NOT_PARTITIONABLE,

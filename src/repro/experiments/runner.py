@@ -14,6 +14,7 @@ from typing import Any, Callable, Mapping
 
 from repro.baselines.mtg import MtgNode, mtg_epoch_count
 from repro.baselines.mtgv2 import Mtgv2Node, mtgv2_epoch_count
+from repro.core.decision import memoised_connectivity
 from repro.core.nectar import NectarNode, nectar_round_count
 from repro.core.validation import ValidationMode
 from repro.crypto import resolve_scheme
@@ -245,6 +246,9 @@ def compute_ground_truth(
             certificate store (DESIGN.md §9.1), keyed by the graph's
             content digest — the sweeps that score three protocols on
             the same scenario graph pay for the max-flow work once.
+            Otherwise κ comes from the decision phase's κ memo
+            (:func:`~repro.core.decision.memoised_connectivity`), which
+            the trial's own decisions have usually filled already.
     """
     if connectivity_cutoff is not None and connectivity_cutoff <= t:
         raise ExperimentError("ground-truth cutoff must exceed t")
@@ -255,7 +259,9 @@ def compute_ground_truth(
             lambda: vertex_connectivity(graph, cutoff=connectivity_cutoff),
         )
     else:
-        kappa = vertex_connectivity(graph, cutoff=connectivity_cutoff)
+        kappa = memoised_connectivity(
+            graph.n, graph.edges(), connectivity_cutoff, graph=graph
+        )
     return GroundTruth(
         n=graph.n,
         t=t,

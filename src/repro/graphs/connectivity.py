@@ -18,10 +18,12 @@ A ``cutoff`` argument allows early exit: callers that only need to
 compare κ against a threshold (NECTAR compares against t and the
 sensitivity bound 2t) can cap every max-flow at the threshold.
 
-Two exact savings keep this pure-Python path fast: a pair with at
+Three exact savings keep this pure-Python path fast: a pair with at
 least as many common neighbours as the running minimum skips its
-max-flow (common neighbours are disjoint paths), and every pair of one
-call reuses a single split network instead of rebuilding its arcs.
+max-flow (common neighbours are disjoint paths), the pair walk stops
+once the running minimum reaches 1 (a connected graph has κ >= 1), and
+every pair of one call reuses a single split network instead of
+rebuilding its arcs.
 """
 
 from __future__ import annotations
@@ -160,6 +162,8 @@ def vertex_connectivity(graph: Graph, cutoff: int | None = None) -> int:
         best = min(best, cutoff)
     network = _SplitNetwork(graph)
     for s, t, shared in _pivot_pairs(graph):
+        if best == 1:
+            break  # connected, so κ >= 1: no pair can go lower
         if shared < best:
             best = network.max_flow(s, t, cutoff=best)
     return best
@@ -200,6 +204,8 @@ def minimum_vertex_cut(graph: Graph) -> set[NodeId]:
     best_cut: set[NodeId] = set()
     best = INFINITY
     for s, t, shared in _pivot_pairs(graph):
+        if best == 1:
+            break  # connected, so no cut is smaller than one vertex
         if shared < best:
             cut = network.cut(s, t)
             if len(cut) < best:

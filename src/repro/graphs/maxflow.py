@@ -1,10 +1,12 @@
-"""Dinic's maximum-flow algorithm on unit-capacity digraphs.
+"""Maximum flow by bounded shortest augmenting paths.
 
 This is the flow engine behind vertex-connectivity computation
 (:mod:`repro.graphs.connectivity`): local connectivity κ(s, t) equals
 the max flow in the standard vertex-split digraph by Menger's theorem
-[20 in the paper].  Capacities in that construction are 0/1/∞, so a
-compact adjacency-list Dinic with integer capacities suffices.
+[20 in the paper].  Capacities in that construction are 0/1/∞ and the
+flows are small (κ, often truncated at a cutoff near t), so one
+breadth-first search per flow unit, bounded by the cutoff and by the
+terminals' residual capacity, beats building level graphs.
 """
 
 from __future__ import annotations
@@ -32,14 +34,12 @@ class FlowNetwork:
         self._to: list[int] = []
         self._capacity: list[int] = []
         self._outgoing: list[list[int]] = [[] for _ in range(vertex_count)]
-        # Scratch arrays for the Dinic phases, allocated once per
-        # network and reset in place via the matching templates: the
-        # vertex-connectivity sweeps run O(n²) flows and several phases
-        # on each, so per-phase list allocation shows up.
-        self._levels = [-1] * vertex_count
-        self._next_edge = [0] * vertex_count
-        self._level_template = [-1] * vertex_count
-        self._next_template = [0] * vertex_count
+        # Scratch array for the augmenting-path search, allocated once
+        # per network and reset in place from the template: the
+        # vertex-connectivity sweeps run O(n²) flows of several
+        # augmentations each, so per-search list allocation shows up.
+        self._parent_edge = [-1] * vertex_count
+        self._unvisited = [-1] * vertex_count
 
     def add_edge(self, source: int, target: int, capacity: int) -> None:
         """Add a directed edge and its zero-capacity residual twin."""
@@ -86,53 +86,6 @@ class FlowNetwork:
             raise ValueError("capacity must be non-negative")
         self._capacity[edge_index] = capacity
 
-    # ------------------------------------------------------------------
-    # Dinic phases
-    # ------------------------------------------------------------------
-    def _build_levels(self, source: int, sink: int) -> list[int] | None:
-        levels = self._levels
-        levels[:] = self._level_template
-        levels[source] = 0
-        queue = deque([source])
-        while queue:
-            vertex = queue.popleft()
-            for edge_index in self._outgoing[vertex]:
-                target = self._to[edge_index]
-                if self._capacity[edge_index] > 0 and levels[target] < 0:
-                    levels[target] = levels[vertex] + 1
-                    queue.append(target)
-        if levels[sink] < 0:
-            return None
-        return levels
-
-    def _augment(
-        self,
-        vertex: int,
-        sink: int,
-        pushed: int,
-        levels: list[int],
-        next_edge: list[int],
-    ) -> int:
-        if vertex == sink:
-            return pushed
-        while next_edge[vertex] < len(self._outgoing[vertex]):
-            edge_index = self._outgoing[vertex][next_edge[vertex]]
-            target = self._to[edge_index]
-            if self._capacity[edge_index] > 0 and levels[target] == levels[vertex] + 1:
-                flow = self._augment(
-                    target,
-                    sink,
-                    min(pushed, self._capacity[edge_index]),
-                    levels,
-                    next_edge,
-                )
-                if flow > 0:
-                    self._capacity[edge_index] -= flow
-                    self._capacity[edge_index ^ 1] += flow
-                    return flow
-            next_edge[vertex] += 1
-        return 0
-
     def residual_reachable(self, source: int) -> set[int]:
         """Vertices reachable from ``source`` in the residual network.
 
@@ -167,59 +120,28 @@ class FlowNetwork:
         """
         if source == sink:
             raise ValueError("source and sink must differ")
-        if cutoff is not None and cutoff <= 2:
-            # Adjacency-degree fast path: the flow cannot exceed the
-            # residual out-degree of the source or in-degree of the
-            # sink, and at most two shortest-path augmentations decide
-            # a cutoff <= 2 query — skipping the Dinic level machinery
-            # entirely.  This is the regime NECTAR's decision phase
-            # lives in (κ compared against small t).
-            capacity_bound = min(
-                self._residual_out_capacity(source, cutoff),
-                self._residual_in_capacity(sink, cutoff),
-            )
-            cutoff = min(cutoff, capacity_bound)
-            total = 0
-            while total < cutoff:
-                pushed = self._augment_shortest(source, sink, cutoff - total)
-                if pushed == 0:
-                    return total
-                total += pushed
-            return cutoff
+        # The flow cannot exceed the residual capacity leaving the
+        # source or entering the sink, and the caller needs no more
+        # than ``cutoff``: the loop stops at that bound without the
+        # final, fruitless search that would prove maximality.
+        bound = self._residual_out_capacity(source, cutoff)
+        bound = self._residual_in_capacity(sink, bound)
         total = 0
-        while True:
-            levels = self._build_levels(source, sink)
-            if levels is None:
-                if cutoff is not None:
-                    return min(total, cutoff)
-                return total
-            next_edge = self._next_edge
-            next_edge[:] = self._next_template
-            while True:
-                pushed = self._augment(source, sink, INFINITY, levels, next_edge)
-                if pushed == 0:
-                    break
-                total += pushed
-                if cutoff is not None and total >= cutoff:
-                    return cutoff
+        while total < bound:
+            pushed = self._augment_shortest(source, sink, bound - total)
+            if pushed == 0:
+                break
+            total += pushed
+        return total
 
-    # ------------------------------------------------------------------
-    # cutoff <= 2 fast path
-    # ------------------------------------------------------------------
-    def _residual_out_capacity(self, vertex: int, limit: int) -> int:
-        """Residual capacity leaving ``vertex``, saturated at ``limit``.
-
-        In the vertex-split connectivity networks the source's out-arcs
-        all enter unit internal arcs, so this is exactly the adjacency
-        degree — but the sum form stays correct for arbitrary
-        capacities.
-        """
+    def _residual_out_capacity(self, vertex: int, limit: int | None) -> int:
+        """Residual capacity leaving ``vertex``, saturated at ``limit``."""
         capacity = self._capacity
         total = 0
         for edge_index in self._outgoing[vertex]:
             if capacity[edge_index] > 0:
                 total += capacity[edge_index]
-                if total >= limit:
+                if limit is not None and total >= limit:
                     return limit
         return total
 
@@ -241,24 +163,20 @@ class FlowNetwork:
     def _augment_shortest(self, source: int, sink: int, limit: int) -> int:
         """One Edmonds–Karp step: push along a shortest residual path.
 
-        Returns the amount pushed (0 when the sink is unreachable).
-        Correctness does not depend on path choice — any augmenting
-        path preserves max-flow optimality — so interleaving this with
-        the Dinic phases is safe; it is only used when ``cutoff``
-        bounds the answer by 2, where one BFS per flow unit is cheaper
-        than building level graphs.
+        Returns the amount pushed, at most ``limit`` (0 when the sink is
+        unreachable).  The search stops as soon as it reaches the sink.
         """
-        parent_edge = self._levels  # reuse the scratch array
-        parent_edge[:] = self._level_template
+        parent_edge = self._parent_edge
+        parent_edge[:] = self._unvisited
         parent_edge[source] = -2
         queue = deque([source])
         capacity = self._capacity
-        while queue:
+        to = self._to
+        outgoing = self._outgoing
+        while queue and parent_edge[sink] == -1:
             vertex = queue.popleft()
-            if vertex == sink:
-                break
-            for edge_index in self._outgoing[vertex]:
-                target = self._to[edge_index]
+            for edge_index in outgoing[vertex]:
+                target = to[edge_index]
                 if capacity[edge_index] > 0 and parent_edge[target] == -1:
                     parent_edge[target] = edge_index
                     queue.append(target)
@@ -270,11 +188,11 @@ class FlowNetwork:
         while vertex != source:
             edge_index = parent_edge[vertex]
             bottleneck = min(bottleneck, capacity[edge_index])
-            vertex = self._to[edge_index ^ 1]
+            vertex = to[edge_index ^ 1]
         vertex = sink
         while vertex != source:
             edge_index = parent_edge[vertex]
             capacity[edge_index] -= bottleneck
             capacity[edge_index ^ 1] += bottleneck
-            vertex = self._to[edge_index ^ 1]
+            vertex = to[edge_index ^ 1]
         return bottleneck

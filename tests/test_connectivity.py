@@ -145,6 +145,28 @@ class TestMinimumCuts:
             minimum_vertex_cut(Graph(4, [(0, 1), (2, 3)]))
 
 
+def _two_cycles_sharing_zero() -> Graph:
+    """Two 8-cycles glued at vertex 0 (n = 15): κ = 1, cut {0}."""
+    edges = []
+    for cycle in ([0, *range(1, 8)], [0, *range(8, 15)]):
+        edges += [(cycle[i], cycle[(i + 1) % 8]) for i in range(8)]
+    return Graph(15, edges)
+
+
+@pytest.fixture
+def max_flow_calls(monkeypatch):
+    """A live count of FlowNetwork.max_flow calls."""
+    calls = [0]
+    plain_max_flow = FlowNetwork.max_flow
+
+    def counting_max_flow(self, *args, **kwargs):
+        calls[0] += 1
+        return plain_max_flow(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counting_max_flow)
+    return calls
+
+
 class TestWorkCounter:
     def test_pruning_pins_the_max_flow_count(self, monkeypatch):
         """κ over a fixed request set runs exactly 328 max-flows; without
@@ -166,6 +188,30 @@ class TestWorkCounter:
         ]
         assert values == [2, 3, 4, 2, 3, 5, 2, 3, 5]
         assert calls == 328
+
+    @pytest.mark.parametrize(
+        "graph, flows",
+        [(_two_cycles_sharing_zero(), 6), (path_graph(8), 0)],
+        ids=["two-8-cycles", "path-8"],
+    )
+    def test_kappa_stops_at_one(self, graph, flows, max_flow_calls):
+        """Once the running minimum is 1 no pair can lower it (the graph
+        is connected): the pair walk stops.  Walking every pair would
+        run 11 and 5 max-flows here."""
+        assert vertex_connectivity(graph) == 1
+        assert max_flow_calls[0] == flows
+
+    @pytest.mark.parametrize(
+        "graph, cut, full_walk",
+        [(_two_cycles_sharing_zero(), [0], 11), (path_graph(8), [1], 6)],
+        ids=["two-8-cycles", "path-8"],
+    )
+    def test_minimum_cut_stops_at_one(self, graph, cut, full_walk, max_flow_calls):
+        """The same stop in minimum_vertex_cut: the first one-vertex cut
+        is kept (later cuts replace it only when strictly smaller), so
+        the returned set is the full walk's, for fewer max-flows."""
+        assert sorted(minimum_vertex_cut(graph)) == cut
+        assert max_flow_calls[0] < full_walk
 
 
 class TestIsVertexCut:

@@ -1,10 +1,22 @@
 """Tests for NECTAR's decision phase (Algorithm 1, ll. 16-23)."""
 
-import pytest
+import sys
 
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.decision as decision_module
+import repro.graphs.connectivity as connectivity_module
 from repro.core.adjacency import DiscoveredGraph
 from repro.core.decision import clear_connectivity_cache, decide
+from repro.crypto.keys import build_keystore
 from repro.crypto.proofs import make_proof
+from repro.crypto.signer import HmacScheme
+from repro.experiments.runner import compute_ground_truth
+from repro.experiments.spec import TopologySpec, TrialSpec, execute_trial
+from repro.graphs.graph import Graph
 from repro.types import Decision
 
 
@@ -108,3 +120,110 @@ class TestDecide:
         for node in range(5):
             decide(discovered_builder(5, edges), node_id=node, t=1)
         assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# The shared κ memo: one stored fact answers every cutoff it covers
+# ----------------------------------------------------------------------
+_SCHEME = HmacScheme()
+_KEYS = build_keystore(_SCHEME, 12, seed=7)
+
+
+@st.composite
+def memo_sessions(draw):
+    """A random graph (n <= 12) and a mixed sequence of κ queries.
+
+    Each query is ``(kind, t, cutoff)``: ``kind`` picks decide() or
+    compute_ground_truth(), and ``t`` sits below ``cutoff`` as both
+    callers require.
+    """
+    n = draw(st.integers(min_value=2, max_value=12))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(
+        st.lists(st.sampled_from(possible), max_size=len(possible), unique=True)
+    )
+    queries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(st.sampled_from(("decide", "truth")))
+        cutoff = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
+        upper = 7 if cutoff is None else cutoff - 1
+        queries.append((kind, draw(st.integers(min_value=0, max_value=upper)), cutoff))
+    return Graph(n, edges), queries
+
+
+@settings(max_examples=80, deadline=None)
+@given(memo_sessions())
+def test_memo_answers_every_cutoff_from_the_strongest_fact(session):
+    """Every answer is min(κ, cutoff), and κ is computed only when the
+    stored fact (κ exactly, or κ >= c) cannot answer the query."""
+    graph, queries = session
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(graph.nodes())
+    nx_graph.add_edges_from(graph.edges())
+    kappa = nx.node_connectivity(nx_graph)
+    discovered = DiscoveredGraph(graph.n)
+    for u, v in graph.edges():
+        discovered.add(make_proof(_SCHEME, _KEYS.key_pair_of(u), _KEYS.key_pair_of(v)))
+
+    calls = []
+    original = decision_module.vertex_connectivity
+
+    def counting(graph, cutoff=None):
+        calls.append(cutoff)
+        return original(graph, cutoff=cutoff)
+
+    decision_module.vertex_connectivity = counting
+    clear_connectivity_cache()
+    try:
+        fact = None  # what the memo should know: (value, exact)
+        for kind, t, cutoff in queries:
+            before = len(calls)
+            if kind == "decide":
+                verdict = decide(discovered, node_id=0, t=t, connectivity_cutoff=cutoff)
+                if not graph.is_connected():
+                    # Node 0 misses someone: no κ query at all.
+                    assert verdict.connectivity is None
+                    assert len(calls) == before
+                    continue
+                answer = verdict.connectivity
+            else:
+                truth = compute_ground_truth(
+                    graph, t, frozenset(), connectivity_cutoff=cutoff
+                )
+                answer = truth.connectivity
+            assert answer == (kappa if cutoff is None else min(kappa, cutoff))
+            answerable = fact is not None and (
+                fact[1] or (cutoff is not None and cutoff <= fact[0])
+            )
+            assert len(calls) - before == (0 if answerable else 1)
+            if not answerable:
+                fact = (answer, cutoff is None or answer < cutoff)
+    finally:
+        decision_module.vertex_connectivity = original
+        clear_connectivity_cache()
+
+
+def test_resilience_cell_computes_kappa_once(monkeypatch):
+    """One two-faced NECTAR connectivity-resilience cell asks for κ of
+    one graph three times: correct nodes decide at cutoff t + 1, the
+    two-faced nodes decide exactly, the ground truth asks at 2t + 1.
+    With one memo for every cutoff the first, exact-below-cutoff answer
+    serves all three (a memo keyed by cutoff computes κ three times)."""
+    calls = []
+    original = connectivity_module.vertex_connectivity
+
+    def counting(graph, cutoff=None):
+        calls.append(cutoff)
+        return original(graph, cutoff=cutoff)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "vertex_connectivity", None) is original:
+            monkeypatch.setattr(module, "vertex_connectivity", counting)
+    spec = TrialSpec(
+        topology=TopologySpec(kind="split", family="k-diamond", n=14, k=4, t=2),
+        protocol="nectar",
+        adversary="two-faced",
+        measure="success-rate",
+    )
+    assert execute_trial(spec) == 1.0
+    assert calls == [3]

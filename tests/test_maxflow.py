@@ -1,5 +1,8 @@
-"""Tests for the Dinic max-flow engine."""
+"""Tests for the max-flow engine (bounded shortest augmenting paths)."""
 
+import random
+
+import networkx as nx
 import pytest
 
 from repro.graphs.maxflow import INFINITY, FlowNetwork
@@ -81,41 +84,49 @@ class TestResidualReachability:
         assert network.residual_reachable(0) == {0, 1}
 
 
-class TestCutoffFastPath:
-    """The cutoff <= 2 adjacency-degree fast path must agree with the
-    full Dinic computation (it is the regime NECTAR's decision phase
-    runs in: κ compared against small t)."""
+class TestBoundedAugmentation:
+    """The cutoff- and capacity-bounded engine against an independent
+    oracle: networkx's maximum flow on the same random networks, with
+    the INFINITY arcs left uncapacitated."""
 
-    def _random_network(self, rng, vertices=8):
-        network = FlowNetwork(vertices)
-        for _ in range(rng.randint(vertices, 3 * vertices)):
-            u, v = rng.sample(range(vertices), 2)
-            network.add_edge(u, v, rng.choice((1, 1, 1, 2, INFINITY)))
-        return network
-
-    def test_matches_full_flow_on_random_networks(self):
-        import random
-
+    def test_matches_networkx_on_random_networks(self):
         rng = random.Random(42)
         for trial in range(200):
-            edges = []
             vertices = rng.randint(2, 8)
-            network_a = FlowNetwork(vertices)
-            network_b = FlowNetwork(vertices)
+            network = FlowNetwork(vertices)
+            oracle = nx.DiGraph()
+            oracle.add_nodes_from(range(vertices))
             for _ in range(rng.randint(vertices, 3 * vertices)):
                 u, v = rng.sample(range(vertices), 2)
                 capacity = rng.choice((1, 1, 1, 2, INFINITY))
-                network_a.add_edge(u, v, capacity)
-                network_b.add_edge(u, v, capacity)
-                edges.append((u, v))
+                network.add_edge(u, v, capacity)
+                # Parallel arcs add up; one uncapacitated arc makes the
+                # pair uncapacitated.
+                if not oracle.has_edge(u, v):
+                    oracle.add_edge(u, v, capacity=0)
+                arc = oracle[u][v]
+                if capacity == INFINITY or "capacity" not in arc:
+                    arc.pop("capacity", None)
+                else:
+                    arc["capacity"] += capacity
             source, sink = rng.sample(range(vertices), 2)
-            cutoff = rng.choice((0, 1, 2))
-            fast = network_a.max_flow(source, sink, cutoff=cutoff)
-            exact = network_b.max_flow(source, sink)
-            assert fast == min(exact, cutoff), (
-                f"trial {trial}: cutoff={cutoff} fast={fast} exact={exact} "
-                f"edges={edges} s={source} t={sink}"
+            cutoff = rng.choice((0, 1, 2, 3, 4, 5, None))
+            ours = network.max_flow(source, sink, cutoff=cutoff)
+            context = (
+                f"trial {trial}: cutoff={cutoff} ours={ours} "
+                f"arcs={sorted(oracle.edges(data=True))} s={source} t={sink}"
             )
+            try:
+                exact = nx.maximum_flow_value(oracle, source, sink)
+            except nx.NetworkXUnbounded:
+                # An all-INFINITY path: any cutoff is reached.
+                if cutoff is None:
+                    assert ours >= INFINITY, context
+                else:
+                    assert ours == cutoff, context
+                continue
+            expected = exact if cutoff is None else min(exact, cutoff)
+            assert ours == expected, context
 
     def test_degree_bound_zero_returns_zero(self):
         network = FlowNetwork(3)
