@@ -7,7 +7,7 @@ The subcommands cover the everyday uses of the library::
     python -m repro figure fig8 --full --out out/
     python -m repro sweep fig3 --set n=40 --set ks=2,4,6 --workers 4
     python -m repro sweep fig3 --set env.loss_rate=0.4 --csv rows.csv
-    python -m repro sweep fig3 --set env.artifacts=true --artifact-store benchmarks/out/
+    python -m repro sweep fig3 --set env.artifacts=true --workers 2
     python -m repro mission partition-detection --set drifts=0.5,1.0 --timeline
     python -m repro mission mtg-vs-nectar-detection --set env.bandwidth=2 --set env.channel=budgeted
     python -m repro mission detection-under-deception --events out/events.jsonl --mission-out out/mission.json
@@ -159,16 +159,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
             "shard sweep trials over N worker processes; 0 means one per "
             "CPU (default: the REPRO_WORKERS env var, else serial). "
             "Results are identical for any worker count."
-        ),
-    )
-    parser.add_argument(
-        "--artifact-store",
-        metavar="DIR",
-        help=(
-            "opt-in on-disk artifact cache (DESIGN.md §9): load/save one "
-            "snapshot per resolved spec under DIR (conventionally "
-            "benchmarks/out/). Only consulted when cells enable "
-            "env.artifacts, e.g. --set env.artifacts=true."
         ),
     )
 
@@ -706,7 +696,7 @@ def _artifact_metadata() -> dict | None:
 
     Printed on the human output and embedded as artefact JSON metadata
     (DESIGN.md §9-10).  Under sharding the counters cover the whole
-    process tree — workers report their deltas back per cell.
+    process tree — workers report their counters back per cell.
     """
     stats = ARTIFACTS.stats
     if stats.total() == 0 and stats.key_pool_bypasses == 0:
@@ -748,9 +738,7 @@ def _run_figure(args: argparse.Namespace) -> int:
         scale="paper" if args.full else "auto",
         overrides=_parse_overrides(args.overrides),
     )
-    figure = SWEEP_ENGINE.run(
-        resolved, workers=args.workers, artifact_store=args.artifact_store
-    )
+    figure = SWEEP_ENGINE.run(resolved, workers=args.workers)
     _render_figure(figure, spark=args.spark)
     metadata = _report_artifacts()
     if args.out:
@@ -876,7 +864,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
             run = run_sweep_via_queue(
                 resolved,
                 queue_root,
-                artifact_store=args.artifact_store,
                 work=not args.no_work,
             )
         except QueueUnreachable as exc:
@@ -884,9 +871,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             # must never fail a sweep the local path could run (§13.4).
             print(f"warning: queue unreachable ({exc})")
             print("warning: degrading to local serial execution")
-            figure = SWEEP_ENGINE.run(
-                resolved, workers=args.workers, artifact_store=args.artifact_store
-            )
+            figure = SWEEP_ENGINE.run(resolved, workers=args.workers)
         except KeyboardInterrupt:
             _print_fabric_interrupt(queue_root, resolved)
             return 130
@@ -896,9 +881,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             fabric_stats = run.stats_payload()
     else:
         try:
-            figure = SWEEP_ENGINE.run(
-                resolved, workers=args.workers, artifact_store=args.artifact_store
-            )
+            figure = SWEEP_ENGINE.run(resolved, workers=args.workers)
         except KeyboardInterrupt:
             print()
             print(
@@ -1008,9 +991,7 @@ def _run_mission_cmd(args: argparse.Namespace) -> int:
     )
     print(f"mission : {args.name} ({resolved.scale} scale, seeds={resolved.seed_mode})")
     print(f"spec    : {spec_digest(resolved.payload())[:12]}")
-    figure = SWEEP_ENGINE.run(
-        resolved, workers=args.workers, artifact_store=args.artifact_store
-    )
+    figure = SWEEP_ENGINE.run(resolved, workers=args.workers)
     _render_figure(figure)
     metadata = _report_artifacts()
     mission = None

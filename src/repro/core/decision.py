@@ -85,7 +85,7 @@ def memoised_connectivity(
 
 
 def clear_connectivity_cache() -> None:
-    """Drop memoised connectivity results (tests and long sweeps)."""
+    """Drop memoised connectivity results (tests; once per sweep)."""
     _connectivity_memo.clear()
 
 

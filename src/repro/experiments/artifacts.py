@@ -2,28 +2,20 @@
 
 The figure sweeps are grids over (topology × adversary × seed) in which
 most cells share expensive, *trial-invariant* work: constructing the
-topology (or the whole attack scenario, minimum cuts included),
-computing connectivity certificates for the ground truth, and
-generating signer key material.  The per-trial
+topology (or the whole attack scenario, minimum cuts included) and
+generating signer key material and neighborhood proofs.  The per-trial
 :class:`~repro.crypto.cache.VerificationCache` (DESIGN.md §6.1) cannot
 help there — its lifetime is one trial.  :class:`ArtifactCache` is the
 layer above: a process-wide, content-addressed memo for artifacts whose
-value is a pure function of their key, shared by every trial of a sweep
-(and, through the optional on-disk layer, across sweeps).
+value is a pure function of their key, shared by every trial of a
+sweep that runs in this process.
 
-Four stores:
+Three stores:
 
 * **topologies** — constructed :class:`~repro.graphs.graph.Graph`
   objects *and* attack-scenario deployments, keyed by the digest of the
-  full :class:`~repro.experiments.spec.TopologySpec` payload.  Interning
-  makes the parent's feasibility probes and every per-cell rebuild free.
-* **connectivity** — κ certificates keyed by ``(graph digest, cutoff)``;
-  the ``vertex_connectivity`` calls behind
-  :func:`~repro.experiments.runner.compute_ground_truth` (and therefore
-  every ``is_byzantine_partitionable`` verdict derived from it) are
-  answered once per distinct graph instead of once per trial — the
-  connectivity-resilience sweep asks the same κ question for three
-  protocol series per cell group.
+  full :class:`~repro.experiments.spec.TopologySpec` payload.  Every
+  cell that replays one topology builds it once per process.
 * **key pools** — :class:`~repro.crypto.keys.KeyStore` objects keyed by
   ``(scheme fingerprint, n, seed)``.  Key generation is deterministic
   per seed, so RSA/HMAC key material is generated once per sweep rather
@@ -36,6 +28,10 @@ Four stores:
   signs each edge's proof once per process instead of once per cell;
   the key-pool store alone only amortised keygen, not the proofs.
 
+Ground-truth κ is not a store here: it comes from the decision phase's
+κ memo (:func:`~repro.core.decision.memoised_connectivity`), with or
+without the artifact layer.
+
 Correctness: every store memoises a *pure* builder, so a warm cache is
 bit-identical to a cold one — sweep rows, verdicts and traffic stats do
 not change, which ``tests/test_artifacts.py`` pins with the cache on vs
@@ -44,24 +40,19 @@ default off) so default spec digests and the historical execution path
 are untouched.
 
 Sharing: the cache is a module-level singleton (:data:`ARTIFACTS`).
-Under the ``fork`` start method a parent-side warm-up
-(:meth:`~repro.experiments.spec.SweepEngine.run`) is inherited by every
-worker for free; under ``spawn`` the engine replays a snapshot through
-``parallel_map``'s per-worker initializer.  Workers fill their private
-misses locally and report them back: each sharded cell returns the
-worker's :meth:`ArtifactCache.drain_delta` alongside its value, and
-the parent folds the deltas in with :meth:`ArtifactCache.merge_delta`
-(DESIGN.md §10.3).  The on-disk layer (:meth:`ArtifactCache.save` /
-:meth:`load`) persists snapshots under ``benchmarks/out/`` keyed by
-resolved-sweep digest; snapshots are written by the parent after the
-merge, so they cover everything the process tree computed.
+Each worker process fills its own stores; nothing is shipped between
+processes except hit/miss counters.  A sharded cell returns the
+worker's :meth:`ArtifactCache.drain_counters` alongside its value and
+the parent adds them up with :meth:`ArtifactCache.merge_counters`
+(DESIGN.md §10.3), so the surfaced stats cover the whole process tree.
+A forked worker inherits the parent's counters and must zero them
+first (:func:`reset_artifact_counters`, the pool initializer), or the
+parent would count its own lookups twice.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import pathlib
-import pickle
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, TypeVar
@@ -69,15 +60,10 @@ from typing import Callable, Iterable, TypeVar
 from repro.crypto import scheme_fingerprint
 from repro.crypto.keys import KeyStore
 from repro.crypto.signer import SignatureScheme
-from repro.experiments.persistence import atomic_write_bytes, spec_digest
+from repro.experiments.persistence import spec_digest
 from repro.graphs.graph import Graph
 
 _Artifact = TypeVar("_Artifact")
-
-#: current on-disk snapshot format; bumped on layout changes so stale
-#: pickles are ignored rather than misread.  v2 added the deployment
-#: store.
-_SNAPSHOT_VERSION = 2
 
 
 def artifact_key(payload: dict) -> str:
@@ -100,8 +86,6 @@ class ArtifactStats:
 
     topology_hits: int = 0
     topology_misses: int = 0
-    connectivity_hits: int = 0
-    connectivity_misses: int = 0
     key_pool_hits: int = 0
     key_pool_misses: int = 0
     #: key-store requests bypassed because the scheme had no
@@ -114,20 +98,10 @@ class ArtifactStats:
     deployment_bypasses: int = 0
 
     def hits(self) -> int:
-        return (
-            self.topology_hits
-            + self.connectivity_hits
-            + self.key_pool_hits
-            + self.deployment_hits
-        )
+        return self.topology_hits + self.key_pool_hits + self.deployment_hits
 
     def misses(self) -> int:
-        return (
-            self.topology_misses
-            + self.connectivity_misses
-            + self.key_pool_misses
-            + self.deployment_misses
-        )
+        return self.topology_misses + self.key_pool_misses + self.deployment_misses
 
     def total(self) -> int:
         return self.hits() + self.misses()
@@ -141,10 +115,6 @@ class ArtifactStats:
         """JSON-ready counters (what the bench ledgers record)."""
         return {
             "topology": {"hits": self.topology_hits, "misses": self.topology_misses},
-            "connectivity": {
-                "hits": self.connectivity_hits,
-                "misses": self.connectivity_misses,
-            },
             "key_pool": {
                 "hits": self.key_pool_hits,
                 "misses": self.key_pool_misses,
@@ -171,8 +141,6 @@ class ArtifactStats:
             f"{self.hits()} hits / {self.misses()} misses "
             f"({self.hit_rate():.1%} hit rate; topologies "
             f"{self.topology_hits}/{self.topology_hits + self.topology_misses}, "
-            f"certificates {self.connectivity_hits}/"
-            f"{self.connectivity_hits + self.connectivity_misses}, "
             f"key pools {self.key_pool_hits}/"
             f"{self.key_pool_hits + self.key_pool_misses}, "
             f"deployments {self.deployment_hits}/"
@@ -183,11 +151,10 @@ class ArtifactStats:
 class ArtifactCache:
     """Content-addressed stores for trial-invariant sweep artifacts.
 
-    Every store maps a content address to a picklable value produced by
-    a pure builder, so entries can cross process boundaries (fork
-    inheritance, spawn snapshots) and live on disk between runs.  The
-    cache never invents values — a miss always calls the builder — and
-    never mutates what it stores, so enabling it cannot change results.
+    Every store maps a content address to a value produced by a pure
+    builder.  The cache never invents values — a miss always calls the
+    builder — and never mutates what it stores, so enabling it cannot
+    change results.
     """
 
     def __init__(self) -> None:
@@ -200,29 +167,14 @@ class ArtifactCache:
         self._lock = threading.RLock()
         self.stats = ArtifactStats()
         self._topologies: dict[str, object] = {}
-        self._connectivity: dict[tuple[str, int | None], int] = {}
         self._key_pools: dict[tuple, KeyStore] = {}
         self._deployments: dict[tuple, object] = {}
-        self._reset_delta()
-
-    def _reset_delta(self) -> None:
-        """Start a fresh delta window (entries + counters since now)."""
-        self._delta_topologies: dict[str, object] = {}
-        self._delta_connectivity: dict[tuple[str, int | None], int] = {}
-        self._delta_key_pools: dict[tuple, KeyStore] = {}
-        self._delta_deployments: dict[tuple, object] = {}
-        self._stats_mark = self.stats.counters()
 
     def __len__(self) -> int:
-        return (
-            len(self._topologies)
-            + len(self._connectivity)
-            + len(self._key_pools)
-            + len(self._deployments)
-        )
+        return len(self._topologies) + len(self._key_pools) + len(self._deployments)
 
     # ------------------------------------------------------------------
-    # The four stores
+    # The three stores
     # ------------------------------------------------------------------
     def topology(self, key: str, build: Callable[[], _Artifact]) -> _Artifact:
         """The interned topology (or scenario) for ``key``.
@@ -238,28 +190,6 @@ class ArtifactCache:
             self.stats.topology_misses += 1
             value = build()
             self._topologies[key] = value
-            self._delta_topologies[key] = value
-            return value
-
-    def connectivity(
-        self, graph: Graph, cutoff: int | None, compute: Callable[[], int]
-    ) -> int:
-        """The κ certificate for ``graph`` at ``cutoff``.
-
-        Keyed by content digest, not object identity, so equal graphs
-        built independently (parent probe vs worker rebuild) share one
-        certificate.
-        """
-        key = (graph.digest(), cutoff)
-        with self._lock:
-            cached = self._connectivity.get(key)
-            if cached is not None:
-                self.stats.connectivity_hits += 1
-                return cached
-            self.stats.connectivity_misses += 1
-            value = compute()
-            self._connectivity[key] = value
-            self._delta_connectivity[key] = value
             return value
 
     def key_store(
@@ -290,7 +220,6 @@ class ArtifactCache:
             self.stats.key_pool_misses += 1
             store = build()
             self._key_pools[key] = store
-            self._delta_key_pools[key] = store
             return store
 
     def deployment(
@@ -323,137 +252,36 @@ class ArtifactCache:
             self.stats.deployment_misses += 1
             value = build()
             self._deployments[key] = value
-            self._delta_deployments[key] = value
             return value
 
     # ------------------------------------------------------------------
-    # Sharing and persistence
+    # Counters across processes
     # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """A picklable view of the stores (counters not included)."""
-        with self._lock:
-            return {
-                "version": _SNAPSHOT_VERSION,
-                "topologies": dict(self._topologies),
-                "connectivity": dict(self._connectivity),
-                "key_pools": dict(self._key_pools),
-                "deployments": dict(self._deployments),
-            }
+    def drain_counters(self) -> dict[str, int]:
+        """The counters since the last drain, which start again at zero.
 
-    def adopt(self, snapshot: dict) -> None:
-        """Replace the stores with a :meth:`snapshot` (worker warm-up).
-
-        Unknown snapshot versions are ignored — an empty cache is
-        always correct.  Adoption starts a fresh delta window: what a
-        worker reports back (:meth:`drain_delta`) covers only the
-        entries *it* computed, never the inherited warm-up set.
-        """
-        if not isinstance(snapshot, dict):
-            return
-        if snapshot.get("version") != _SNAPSHOT_VERSION:
-            return
-        with self._lock:
-            self._topologies = dict(snapshot["topologies"])
-            self._connectivity = dict(snapshot["connectivity"])
-            self._key_pools = dict(snapshot["key_pools"])
-            self._deployments = dict(snapshot.get("deployments", {}))
-            self._reset_delta()
-
-    def drain_delta(self) -> dict:
-        """Entries and counter increments since the last drain/adopt.
-
-        The worker side of the delta protocol (DESIGN.md §9.2): each
-        sharded cell returns the store entries its worker added since
-        its previous report, so the parent can fold worker-computed
-        artifacts (connectivity certificates, lazily-built key pools)
-        and hit/miss counters back into its own cache — which is what
-        makes ``--artifact-store`` snapshots and the surfaced cache
-        stats cover the whole process tree, not just the parent's
-        warm-up set.  Draining starts the next window.
+        The worker side of sharded runs (DESIGN.md §10.3): each sharded
+        cell returns its worker's increments so the parent can add them
+        to its own stats.
         """
         with self._lock:
             counts = self.stats.counters()
-            delta = {
-                "version": _SNAPSHOT_VERSION,
-                "topologies": self._delta_topologies,
-                "connectivity": self._delta_connectivity,
-                "key_pools": self._delta_key_pools,
-                "deployments": self._delta_deployments,
-                "stats": {
-                    name: counts[name] - self._stats_mark.get(name, 0)
-                    for name in counts
-                },
-            }
-            self._reset_delta()
-            return delta
+            self.stats = ArtifactStats()
+            return counts
 
-    def merge_delta(self, delta: dict) -> None:
-        """Fold one :meth:`drain_delta` report into this cache.
-
-        Store entries are unioned (first writer wins — builders are
-        pure, so colliding keys hold equal values) and counter
-        increments are added to :attr:`stats`.  Unknown versions are
-        ignored, mirroring :meth:`adopt`.
-        """
-        if not isinstance(delta, dict) or delta.get("version") != _SNAPSHOT_VERSION:
-            return
+    def merge_counters(self, counts: dict[str, int]) -> None:
+        """Add one :meth:`drain_counters` report to :attr:`stats`."""
         with self._lock:
-            for entries, target in (
-                (delta.get("topologies"), self._topologies),
-                (delta.get("connectivity"), self._connectivity),
-                (delta.get("key_pools"), self._key_pools),
-                (delta.get("deployments"), self._deployments),
-            ):
-                for key, value in (entries or {}).items():
-                    target.setdefault(key, value)
-            for name, increment in (delta.get("stats") or {}).items():
-                if hasattr(self.stats, name):
-                    setattr(self.stats, name, getattr(self.stats, name) + increment)
-                    self._stats_mark[name] = self._stats_mark.get(name, 0) + increment
+            for name, increment in counts.items():
+                setattr(self.stats, name, getattr(self.stats, name) + increment)
 
     def clear(self) -> None:
         """Drop every store and reset the counters."""
         with self._lock:
             self.stats = ArtifactStats()
             self._topologies.clear()
-            self._connectivity.clear()
             self._key_pools.clear()
             self._deployments.clear()
-            self._reset_delta()
-
-    def save(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Persist a snapshot (the opt-in on-disk layer).
-
-        Written atomically (write-temp + rename): a writer killed
-        mid-save leaves the previous snapshot intact instead of a
-        truncated pickle, so concurrent readers — fabric workers adopt
-        these snapshots as warm state, DESIGN.md §13 — never observe a
-        partial file.
-        """
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return atomic_write_bytes(path, pickle.dumps(self.snapshot()))
-
-    def load(self, path: str | pathlib.Path) -> bool:
-        """Adopt a snapshot from disk; False when absent or unreadable.
-
-        A cache file is an accelerator, never a dependency: any load
-        problem (missing file, truncated pickle, stale version) leaves
-        the cache as it was.
-        """
-        path = pathlib.Path(path)
-        try:
-            payload = pickle.loads(path.read_bytes())
-        # Deliberately broad: unpickling arbitrary stale bytes can fail
-        # with almost anything (ModuleNotFoundError after a refactor,
-        # ValueError/IndexError on truncated streams, ...), and a cache
-        # file must never be able to take the sweep down.
-        except Exception:  # noqa: BLE001
-            return False
-        if not isinstance(payload, dict) or payload.get("version") != _SNAPSHOT_VERSION:
-            return False
-        self.adopt(payload)
-        return True
 
 
 #: the process-wide cache every artifact-enabled trial consults.
@@ -465,18 +293,15 @@ def clear_artifact_cache() -> None:
     ARTIFACTS.clear()
 
 
-def install_artifacts(snapshot: dict) -> None:
-    """Worker-process initializer: adopt a parent snapshot.
+def reset_artifact_counters() -> None:
+    """Worker-pool initializer: zero the counters a fork inherited.
 
     Module-level so :func:`repro.experiments.parallel.parallel_map` can
-    ship it to spawned workers.  Under fork the stores it installs are
-    the inherited ones, but the call is still load-bearing:
-    :meth:`ArtifactCache.adopt` resets the delta window, without which
-    a forked worker's first :meth:`~ArtifactCache.drain_delta` would
-    re-report the parent's inherited warm-up entries and counters (and
-    the parent's merge would then double-count its own stats).
+    ship it to worker processes.  Without it a forked worker's first
+    :meth:`~ArtifactCache.drain_counters` would re-report the parent's
+    counters, and the parent's merge would count them twice.
     """
-    ARTIFACTS.adopt(snapshot)
+    ARTIFACTS.drain_counters()
 
 
 __all__ = [
@@ -485,5 +310,5 @@ __all__ = [
     "ArtifactStats",
     "artifact_key",
     "clear_artifact_cache",
-    "install_artifacts",
+    "reset_artifact_counters",
 ]

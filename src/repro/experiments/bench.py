@@ -96,9 +96,9 @@ BENCH_SCENARIOS: dict[str, BenchScenario] = {
         BenchScenario(
             name="connectivity-resilience",
             title=(
-                "Sec. V-D resilience sweep: interned split scenarios + "
-                "connectivity certificates shared by the three protocol "
-                "series of every cell group"
+                "Sec. V-D resilience sweep: split scenarios interned "
+                "once and shared by the three protocol series of every "
+                "cell group"
             ),
             figure_id="connectivity-resilience",
             overrides={},
@@ -274,8 +274,8 @@ def run_scenario(
         "rows_sha256": _rows_digest(rows["artifacts_on"]),
         "rows": rows["artifacts_on"],
         "artifact_stats": artifact_stats,
-        # Sharded cells report their worker's cache delta back to the
-        # parent (DESIGN.md §10.3), so the counters cover the whole
+        # Sharded cells report their worker's cache counters back to
+        # the parent (DESIGN.md §10.3), so the counters cover the whole
         # process tree for any worker count.
         "artifact_stats_scope": "process-tree",
         # Engine provenance of the accelerated leg: whether the

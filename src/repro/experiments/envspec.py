@@ -107,7 +107,7 @@ class EnvironmentSpec:
         artifacts: consult the sweep-scoped
             :data:`~repro.experiments.artifacts.ARTIFACTS` cache for
             trial-invariant work — interned topologies/scenarios,
-            connectivity certificates, signer key pools (DESIGN.md §9).
+            signer key pools, deployments (DESIGN.md §9).
             Off by default: the default environment must execute (and
             hash) exactly like the historical code path, and a shared
             cross-trial store is something a determinism audit should

@@ -60,8 +60,6 @@ from repro.adversary.campaign import (
 )
 from repro.baselines.mtg import mtg_epoch_count
 from repro.baselines.mtgv2 import mtgv2_epoch_count
-from repro.crypto import resolve_scheme
-from repro.crypto.keys import KeyStore
 from repro.crypto.signer import NullScheme
 from repro.crypto.sizes import DEFAULT_PROFILE
 from repro.errors import ExperimentError
@@ -574,7 +572,6 @@ def run_epoch(
             t,
             byzantine,
             connectivity_cutoff=t + 1,
-            artifacts=env.artifacts,
         )
         partitionable = truth.byzantine_partitionable
         correct_cut = truth.correct_subgraph_partitioned
@@ -634,10 +631,9 @@ def mission_graphs(mission: MissionSpec) -> tuple[Graph, ...]:
 
     Interning keys the *whole* trajectory by its spec payload, so every
     cell of a sweep that replays the same trajectory (the measure
-    series of ``partition-detection``, repeated bench runs, warm
-    ``--artifact-store`` snapshots) constructs it exactly once per
-    process.  Explicit trajectories are never interned — their graphs
-    are already in hand.
+    series of ``partition-detection``, repeated bench runs) constructs
+    it exactly once per process.  Explicit trajectories are never
+    interned — their graphs are already in hand.
     """
     trajectory = mission.trajectory
     if mission.env.artifacts and trajectory.kind != "explicit":
@@ -1087,10 +1083,10 @@ class MissionCellSpec:
 
     Implements the sweep-cell protocol of
     :func:`repro.experiments.spec.execute_trial` (``env`` /
-    ``with_env`` / ``execute`` / ``warm_artifacts``), so
+    ``with_env`` / ``execute``), so
     :class:`~repro.experiments.spec.SweepEngine` shards mission cells
-    exactly like trial cells — ``env.*`` overrides, artifact warm-up
-    and worker deltas included.
+    exactly like trial cells — ``env.*`` overrides and worker
+    artifact counters included.
     """
 
     mission: MissionSpec
@@ -1119,26 +1115,6 @@ class MissionCellSpec:
                 self.mission, env=self.mission.env.with_fields(env, fields)
             ),
         )
-
-    def warm_artifacts(self) -> None:
-        """Parent-side warm-up: intern the trajectory + the key pool."""
-        mission = self.mission
-        # Only artifact cells are warmed, so this interns (one policy,
-        # shared with execution — same keys by construction).
-        graphs = mission_graphs(mission)
-        if mission.env.scheme and graphs:
-            scheme = resolve_scheme(mission.env.scheme)
-            nodes = graphs[0].nodes()
-            seeds = sorted(
-                {mission.epoch_seed(epoch) for epoch in range(len(graphs))}
-            )
-            for seed in seeds:
-                ARTIFACTS.key_store(
-                    scheme,
-                    nodes,
-                    seed,
-                    lambda seed=seed: KeyStore(scheme, nodes, seed=seed),
-                )
 
     def execute(self) -> float:
         """The cell executor: fly (or recall) the mission, read one metric."""

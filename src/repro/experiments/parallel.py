@@ -164,9 +164,8 @@ def parallel_map(
         workers: see :func:`resolve_workers`.
         initializer: optional module-level function run once in each
             worker process before any item (the sweep engine uses it to
-            install a warm artifact-cache snapshot, DESIGN.md §9).  Not
-            called on the in-process path — the parent already holds
-            whatever state it would install.  Must be a no-op with
+            zero the artifact-cache counters a fork inherited, DESIGN.md
+            §9).  Not called on the in-process path.  Must be a no-op with
             respect to results: items may not depend on it having run.
         initargs: arguments for ``initializer`` (picklable under the
             ``spawn`` start method).

@@ -27,7 +27,6 @@ from repro.errors import ExperimentError
 from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.envspec import DEFAULT_ENVIRONMENT, EnvironmentSpec
 from repro.graphs.analysis import correct_subgraph_partitioned
-from repro.graphs.connectivity import vertex_connectivity
 from repro.graphs.graph import Graph
 from repro.net.channel import resolve_backend
 from repro.net.simulator import RoundProtocol
@@ -233,35 +232,25 @@ def compute_ground_truth(
     t: int,
     byzantine: frozenset[NodeId],
     connectivity_cutoff: int | None = None,
-    artifacts: bool = False,
 ) -> GroundTruth:
     """Reference facts for accuracy evaluation.
+
+    κ comes from the decision phase's κ memo
+    (:func:`~repro.core.decision.memoised_connectivity`), which the
+    trial's own decisions have usually filled already, and which the
+    other protocol series of a sweep cell group ask about again.
 
     Args:
         connectivity_cutoff: optional truncation for the κ computation;
             any value above ``t`` keeps ``byzantine_partitionable``
             exact (and values >= 2t + 1 keep the sensitivity analysis
             exact).  ``GroundTruth.connectivity`` is then min(κ, cutoff).
-        artifacts: serve κ from the sweep-scoped connectivity
-            certificate store (DESIGN.md §9.1), keyed by the graph's
-            content digest — the sweeps that score three protocols on
-            the same scenario graph pay for the max-flow work once.
-            Otherwise κ comes from the decision phase's κ memo
-            (:func:`~repro.core.decision.memoised_connectivity`), which
-            the trial's own decisions have usually filled already.
     """
     if connectivity_cutoff is not None and connectivity_cutoff <= t:
         raise ExperimentError("ground-truth cutoff must exceed t")
-    if artifacts:
-        kappa = ARTIFACTS.connectivity(
-            graph,
-            connectivity_cutoff,
-            lambda: vertex_connectivity(graph, cutoff=connectivity_cutoff),
-        )
-    else:
-        kappa = memoised_connectivity(
-            graph.n, graph.edges(), connectivity_cutoff, graph=graph
-        )
+    kappa = memoised_connectivity(
+        graph.n, graph.edges(), connectivity_cutoff, graph=graph
+    )
     return GroundTruth(
         n=graph.n,
         t=t,
@@ -432,7 +421,6 @@ def run_trial(
             t,
             byzantine,
             connectivity_cutoff=ground_truth_cutoff,
-            artifacts=env.artifacts,
         )
     return TrialResult(
         verdicts=verdicts,

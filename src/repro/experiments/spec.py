@@ -44,7 +44,6 @@ independent per-trial seeds via
 from __future__ import annotations
 
 import os
-import pathlib
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -60,8 +59,6 @@ from repro.baselines.mtg import MtgNode
 from repro.core.decision import clear_connectivity_cache
 from repro.core.nectar import NectarNode
 from repro.core.validation import ValidationMode
-from repro.crypto import resolve_scheme
-from repro.crypto.keys import KeyStore
 from repro.crypto.signer import NullScheme
 from repro.crypto.sizes import (
     COMPACT_PROFILE,
@@ -75,7 +72,7 @@ from repro.experiments.accuracy import success_rate
 from repro.experiments.artifacts import (
     ARTIFACTS,
     artifact_key,
-    install_artifacts,
+    reset_artifact_counters,
 )
 from repro.experiments.envspec import (
     DEFAULT_ENVIRONMENT,
@@ -84,7 +81,6 @@ from repro.experiments.envspec import (
     environment_from_overrides,
 )
 from repro.experiments.parallel import parallel_map, trial_seeds, will_shard
-from repro.experiments.persistence import spec_digest
 from repro.experiments.report import FigureData
 from repro.experiments.runner import (
     HONEST_FACTORIES,
@@ -577,46 +573,6 @@ def _trial_artifact(spec: TrialSpec, want: str):
     return ARTIFACTS.topology(top.artifact_key(), build)
 
 
-def _warm_artifacts(cells: Sequence[object]) -> None:
-    """Parent-side artifact warm-up for a sweep's artifact cells.
-
-    Interns each distinct topology/scenario once (deduplicated by
-    content address inside :data:`ARTIFACTS`) and, for cells that pin a
-    signature scheme through the environment, pre-generates the signer
-    key pool — so after the worker pool forks (or adopts the snapshot
-    under spawn) no worker ever rebuilds a topology or regenerates a
-    key pair another already has.  Cell types that are not plain trial
-    specs (mission cells) bring their own ``warm_artifacts`` hook.
-
-    Infeasible topology parameters are skipped silently here: warm-up
-    is an accelerator, and the failing cell raises its real
-    :class:`ExperimentError` with full context at execution time.
-    """
-    for cell in cells:
-        if not isinstance(cell, TrialSpec):
-            warm = getattr(cell, "warm_artifacts", None)
-            if warm is not None:
-                try:
-                    warm()
-                except ExperimentError:
-                    pass
-            continue
-        top = cell.topology
-        try:
-            artifact = ARTIFACTS.topology(top.artifact_key(), top.build_artifact)
-        except ExperimentError:
-            continue
-        graph = artifact if isinstance(artifact, Graph) else artifact.graph
-        if cell.env.scheme:
-            scheme = resolve_scheme(cell.env.scheme)
-            ARTIFACTS.key_store(
-                scheme,
-                graph.nodes(),
-                cell.seed,
-                lambda: KeyStore(scheme, graph.nodes(), seed=cell.seed),
-            )
-
-
 def _cell_colocation_key(cell: object) -> object | None:
     """The shard-planning key of one sweep cell.
 
@@ -639,8 +595,8 @@ def execute_trial(spec: TrialSpec) -> float:
     figure — which is what lets :class:`SweepEngine` shard any sweep
     through :func:`~repro.experiments.parallel.parallel_map`.  When a
     cell's environment enables the artifact layer, trial-invariant
-    work (topology/scenario construction, key pools, connectivity
-    certificates) is served from :data:`ARTIFACTS` (DESIGN.md §9).
+    work (topology/scenario construction, key pools, deployments) is
+    served from :data:`ARTIFACTS` (DESIGN.md §9).
 
     Cells that are not plain :class:`TrialSpec` instances (the mission
     cells of :mod:`repro.experiments.mission`) execute themselves: any
@@ -686,10 +642,6 @@ def execute_trial(spec: TrialSpec) -> float:
         raise ExperimentError(
             f"adversarial trials measure success-rate, got {spec.measure!r}"
         )
-    # Scenario construction and decision both consult the (pure,
-    # bounded) connectivity memo; clear it per cell exactly like the
-    # historical serial loops did.
-    clear_connectivity_cache()
     if spec.adversary == "two-faced":
         scenario = _trial_artifact(spec, "scenario")
         if spec.protocol == "nectar":
@@ -731,21 +683,18 @@ def execute_trial(spec: TrialSpec) -> float:
     raise ExperimentError(f"unknown adversary {spec.adversary!r}")
 
 
-def _execute_cell_with_delta(spec) -> tuple[float, dict]:
-    """Execute one cell and report the worker's artifact-cache delta.
+def _execute_cell_with_counters(spec) -> tuple[float, dict[str, int]]:
+    """Execute one cell and report the worker's artifact-cache counters.
 
-    The sharded-artifact executor: the value is exactly
-    :func:`execute_trial`'s, and the delta carries whatever store
-    entries and counters this worker accumulated since its previous
-    report (cells run sequentially within a worker, so draining after
-    every cell partitions the worker's additions without overlap).
-    The parent merges the deltas back into :data:`ARTIFACTS`, which is
-    what lets ``--artifact-store`` snapshots persist worker-computed
-    certificates and key pools, and sweep output report whole-tree hit
-    rates (DESIGN.md §9.2).
+    The sharded executor: the value is exactly
+    :func:`execute_trial`'s, and the counters are the worker's lookups
+    since its previous report (cells run sequentially within a worker,
+    so draining after every cell partitions them without overlap).
+    The parent adds them to :data:`ARTIFACTS`, so sweep output reports
+    whole-tree hit rates (DESIGN.md §10.3).
     """
     value = execute_trial(spec)
-    return value, ARTIFACTS.drain_delta()
+    return value, ARTIFACTS.drain_counters()
 
 
 def attack_rates(
@@ -1876,22 +1825,6 @@ FIGURE_SPECS: dict[str, SweepSpec] = {
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-def artifact_store_path(
-    resolved: "ResolvedSweep", artifact_store: str | pathlib.Path
-) -> pathlib.Path:
-    """The on-disk artifact snapshot path for one resolved sweep.
-
-    One convention shared by every execution substrate (the in-process
-    engine and the fabric client), so a warm snapshot written by a
-    local ``--artifact-store`` run is found by a queue-backed run of
-    the same resolved spec, and vice versa.
-    """
-    return pathlib.Path(artifact_store) / (
-        f"artifacts-{resolved.spec.figure_id}-"
-        f"{spec_digest(resolved.payload())[:12]}.pkl"
-    )
-
-
 class SweepEngine:
     """Resolve, execute and assemble declarative sweeps.
 
@@ -1971,7 +1904,14 @@ class SweepEngine:
         ``assemble``; the distributed fabric client (:mod:`repro.fabric`,
         DESIGN.md §13) substitutes its queue for the execute step and is
         row-identical by construction because both ends are shared.
+
+        Preparing a sweep empties the κ memo
+        (:func:`~repro.core.decision.clear_connectivity_cache`): within
+        the sweep it serves every cell, so the protocol series that
+        score one scenario graph share its κ, and no sweep's κ work
+        depends on what ran before it in the process.
         """
+        clear_connectivity_cache()
         plan = self.plan(resolved)
         cells = [cell for group in plan.groups for cell in group.cells]
         if resolved.env_fields:
@@ -2010,7 +1950,6 @@ class SweepEngine:
         workers: int | None = None,
         seed_mode: str | None = None,
         base_seed: int = 0,
-        artifact_store: str | pathlib.Path | None = None,
     ) -> FigureData:
         """Execute one sweep and return its figure.
 
@@ -2019,25 +1958,11 @@ class SweepEngine:
         registered figure; rows are bit-identical for any worker count
         because each cell's randomness is explicit in its spec.
 
-        When any cell enables the artifact layer (``env.artifacts``),
-        the engine warms :data:`ARTIFACTS` in the parent before
-        sharding — interned topologies/scenarios, plus signer key pools
-        for ``env.scheme`` cells — and installs the warm snapshot in
-        every worker through ``parallel_map``'s initializer, so the
-        expensive trial-invariant work happens once per sweep rather
-        than once per cell or once per worker (DESIGN.md §9.2).
-
-        Args:
-            artifact_store: opt-in on-disk artifact layer: a directory
-                (conventionally ``benchmarks/out/``) holding one cache
-                snapshot per resolved sweep, keyed by spec digest.
-                Loaded before the run, saved after; ignored unless some
-                cell enables ``env.artifacts``.  The snapshot is saved
-                from the parent process after worker deltas are merged
-                back, so sharded runs persist everything the process
-                tree computed — warm-up set, worker-computed
-                certificates and lazily-built key pools alike
-                (DESIGN.md §10.3; pinned by ``tests/test_artifacts.py``).
+        When the sweep shards, each worker fills its own
+        :data:`ARTIFACTS` stores (for cells that enable
+        ``env.artifacts``) and reports its hit/miss counters back per
+        cell, so the parent's stats cover the whole process tree
+        (DESIGN.md §10.3).
         """
         if isinstance(spec, ResolvedSweep):
             if (
@@ -2060,39 +1985,18 @@ class SweepEngine:
                 base_seed=base_seed,
             )
         plan, cells = self.prepare(resolved)
-        artifact_cells = [cell for cell in cells if cell.env.artifacts]
-        store_path: pathlib.Path | None = None
-        if artifact_cells:
-            if artifact_store is not None:
-                store_path = artifact_store_path(resolved, artifact_store)
-                ARTIFACTS.load(store_path)
-            _warm_artifacts(artifact_cells)
-            if will_shard(workers, len(cells)):
-                # Sharded: cells report their worker's cache delta so
-                # the parent cache (and therefore the on-disk snapshot
-                # and the surfaced stats) covers worker-computed
-                # artifacts too, not just the warm-up set.
-                outcomes = parallel_map(
-                    _execute_cell_with_delta,
-                    cells,
-                    workers=workers,
-                    initializer=install_artifacts,
-                    initargs=(ARTIFACTS.snapshot(),),
-                    colocate=_cell_colocation_key,
-                )
-                values = []
-                for value, delta in outcomes:
-                    ARTIFACTS.merge_delta(delta)
-                    values.append(value)
-            else:
-                values = parallel_map(
-                    execute_trial,
-                    cells,
-                    workers=workers,
-                    colocate=_cell_colocation_key,
-                )
-            if store_path is not None:
-                ARTIFACTS.save(store_path)
+        if will_shard(workers, len(cells)):
+            outcomes = parallel_map(
+                _execute_cell_with_counters,
+                cells,
+                workers=workers,
+                initializer=reset_artifact_counters,
+                colocate=_cell_colocation_key,
+            )
+            values = []
+            for value, counts in outcomes:
+                ARTIFACTS.merge_counters(counts)
+                values.append(value)
         else:
             values = parallel_map(
                 execute_trial,
@@ -2184,7 +2088,6 @@ __all__ = [
     "SweepSpec",
     "TopologySpec",
     "TrialSpec",
-    "artifact_store_path",
     "attack_rates",
     "environment_axis_names",
     "execute_trial",

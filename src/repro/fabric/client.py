@@ -25,7 +25,6 @@ at that point falling back is strictly cheaper than giving up.
 
 from __future__ import annotations
 
-import pickle
 import socket
 import os
 from dataclasses import dataclass
@@ -39,8 +38,6 @@ from repro.experiments.spec import (
     SWEEP_ENGINE,
     ResolvedSweep,
     _cell_colocation_key,
-    _warm_artifacts,
-    artifact_store_path,
     execute_trial,
 )
 from repro.fabric import chaos
@@ -134,7 +131,6 @@ def _execute_locally(plan, cells) -> FigureData:
 def run_sweep_via_queue(
     resolved: ResolvedSweep,
     queue_root,
-    artifact_store=None,
     work: bool = True,
     poll: float = 0.05,
 ) -> FabricRun:
@@ -157,7 +153,6 @@ def run_sweep_via_queue(
         payload=resolved.payload(),
         shards=tuple(tuple(shard) for shard in shards),
         cell_count=len(cells),
-        artifacts=False,
     )
     if not cells:
         return FabricRun(
@@ -166,24 +161,6 @@ def run_sweep_via_queue(
             total_shards=0,
             resumed_shards=0,
             client_shards=0,
-        )
-
-    artifact_cells = [cell for cell in cells if cell.env.artifacts]
-    snapshot_bytes: bytes | None = None
-    store_path = None
-    if artifact_cells:
-        if artifact_store is not None:
-            store_path = artifact_store_path(resolved, artifact_store)
-            ARTIFACTS.load(store_path)
-        _warm_artifacts(artifact_cells)
-        snapshot_bytes = pickle.dumps(ARTIFACTS.snapshot())
-        record = JobRecord(
-            job_id=record.job_id,
-            figure_id=record.figure_id,
-            payload=record.payload,
-            shards=record.shards,
-            cell_count=record.cell_count,
-            artifacts=True,
         )
 
     # Everything up to (and including) submission may raise
@@ -203,7 +180,6 @@ def run_sweep_via_queue(
         record.payload,
         cells,
         [list(shard) for shard in shards],
-        artifact_snapshot=snapshot_bytes,
     )
     existing = queue.load_job(job_id)
     if existing is not None and existing.shards != record.shards:
@@ -243,8 +219,7 @@ def run_sweep_via_queue(
                     )
                 for index, value in zip(record.shards[shard_index], result["values"]):
                     values[index] = value
-                if record.artifacts:
-                    ARTIFACTS.merge_delta(result.get("delta") or {})
+                ARTIFACTS.merge_counters(result.get("counters") or {})
                 collected.add(shard_index)
                 progressed = True
             if len(collected) >= total:
@@ -264,9 +239,8 @@ def run_sweep_via_queue(
                     "indices": list(indices),
                     "values": [execute_trial(cells[index]) for index in indices],
                     "quarantined": True,
+                    "counters": ARTIFACTS.drain_counters(),
                 }
-                if record.artifacts:
-                    payload["delta"] = ARTIFACTS.drain_delta()
                 queue.write_result(job_id, shard_index, payload)
                 queue.journal(
                     job_id,
@@ -306,8 +280,6 @@ def run_sweep_via_queue(
             retries=queue.retries_used,
         )
 
-    if store_path is not None:
-        ARTIFACTS.save(store_path)
     try:
         quarantined = len(queue.quarantined_shards(job_id))
         lease_breaks = queue.total_lease_breaks(job_id)

@@ -7,7 +7,6 @@ layout is the protocol; there is no broker process to crash::
     <root>/jobs/<job_id>/
         job.json            manifest: resolved-spec payload, shard plan
         cells.pkl           the pickled cell list (prepare() order)
-        artifacts.pkl       optional warm ArtifactCache snapshot
         leases/<shard>.json claims: worker id, pid, host, timestamp
         results/<shard>.pkl content-addressed shard results
         journal/<worker>.jsonl  append-only execution accounting
@@ -163,7 +162,6 @@ class JobRecord:
     payload: dict
     shards: tuple[tuple[int, ...], ...]
     cell_count: int
-    artifacts: bool
 
     @property
     def total_shards(self) -> int:
@@ -265,9 +263,6 @@ class FabricQueue:
     def _cells_path(self, job_id: str) -> pathlib.Path:
         return self.job_dir(job_id) / "cells.pkl"
 
-    def artifact_snapshot_path(self, job_id: str) -> pathlib.Path:
-        return self.job_dir(job_id) / "artifacts.pkl"
-
     def _lease_path(self, job_id: str, shard: int) -> pathlib.Path:
         return self.job_dir(job_id) / "leases" / f"{shard}.json"
 
@@ -322,7 +317,6 @@ class FabricQueue:
         payload: dict,
         cells: list,
         shards: list[list[int]],
-        artifact_snapshot: bytes | None = None,
     ) -> bool:
         """Publish one job; returns False when it already exists (resume).
 
@@ -340,10 +334,6 @@ class FabricQueue:
             for sub in ("leases", "results", "journal", "deadletter"):
                 (job_dir / sub).mkdir(parents=True, exist_ok=True)
             atomic_write_bytes(self._cells_path(job_id), pickle.dumps(cells))
-            if artifact_snapshot is not None:
-                atomic_write_bytes(
-                    self.artifact_snapshot_path(job_id), artifact_snapshot
-                )
             manifest = {
                 "version": _JOB_VERSION,
                 "job_id": job_id,
@@ -351,7 +341,6 @@ class FabricQueue:
                 "payload": payload,
                 "shards": [list(shard) for shard in shards],
                 "cell_count": len(cells),
-                "artifacts": artifact_snapshot is not None,
                 "submitted_by": worker_identity(),
             }
             atomic_write_text(
@@ -386,7 +375,6 @@ class FabricQueue:
                     tuple(int(i) for i in shard) for shard in manifest["shards"]
                 ),
                 cell_count=int(manifest["cell_count"]),
-                artifacts=bool(manifest.get("artifacts", False)),
             )
         except (KeyError, TypeError, ValueError):
             return None

@@ -9,13 +9,11 @@ executor, so a queue-backed sweep is row-identical to a serial run by
 construction — the fabric moves work between processes, never changes
 what the work computes.
 
-Warm state: a job submitted with the artifact layer enabled carries the
-client's warmed :class:`~repro.experiments.artifacts.ArtifactCache`
-snapshot (the same ``--artifact-store`` format, DESIGN.md §9).  A worker
-adopts it once per job and reports its own additions back inside each
-shard result (the worker-delta protocol of §9.2 carried over the
-filesystem instead of a pipe), so the client's merged cache — and its
-on-disk snapshot — covers the whole fleet's work.
+Artifact state: a job ships no cache state.  Each worker fills its own
+:class:`~repro.experiments.artifacts.ArtifactCache` stores (DESIGN.md
+§9) and reports only its hit/miss counters inside each shard result
+(the worker counters of §10.3 carried over the filesystem instead of a
+pipe), so the client's stats cover the whole fleet's work.
 
 Failure semantics: a cell that raises publishes an *error result* (the
 serial path would have raised the same error; retrying a deterministic
@@ -83,9 +81,9 @@ def execute_shard(
     """Execute one claimed shard and publish its result.
 
     The caller must hold the lease.  Cells run in shard order in this
-    process — the colocation contract — and, when the job carries
-    artifacts, the worker's cache delta since the previous drain rides
-    along in the result for the client to merge (DESIGN.md §9.2).
+    process — the colocation contract — and the worker's artifact-cache
+    counters since the previous drain ride along in the result for the
+    client to merge (DESIGN.md §10.3).
     """
     indices = record.shards[shard_index]
     injector = chaos.active()
@@ -115,9 +113,8 @@ def execute_shard(
         "shard": shard_index,
         "indices": list(indices),
         "values": values,
+        "counters": ARTIFACTS.drain_counters(),
     }
-    if record.artifacts:
-        payload["delta"] = ARTIFACTS.drain_delta()
     queue.write_result(record.job_id, shard_index, payload)
     if injector is not None:
         injector.on_result_published(
@@ -130,20 +127,6 @@ def execute_shard(
         worker_id,
         {"event": "executed", "shard": shard_index, "cells": len(indices)},
     )
-
-
-class _JobContext:
-    """Per-job worker state: unpickled cells, adopted artifact snapshot."""
-
-    def __init__(self, queue: FabricQueue, record: JobRecord) -> None:
-        self.record = record
-        self.cells = queue.cells(record.job_id)
-        if record.artifacts:
-            # Adopt the client's warm snapshot (load() resets the delta
-            # window, so the first drain reports only *our* additions).
-            # A missing/corrupt snapshot degrades to a cold cache,
-            # which is slower but bit-identical.
-            ARTIFACTS.load(queue.artifact_snapshot_path(record.job_id))
 
 
 def run_worker(
@@ -185,7 +168,8 @@ def run_worker(
         # test installed directly.
         chaos.activate("worker", identity=me, queue_root=queue.root)
     stats = WorkerStats(worker_id=me)
-    contexts: dict[str, _JobContext] = {}
+    # job id -> (manifest, unpickled cells), loaded once per job.
+    loaded: dict[str, tuple[JobRecord, list]] = {}
     jobs_seen: list[str] = []
     last_progress = time.monotonic()
     try:
@@ -198,14 +182,12 @@ def run_worker(
                 stats.worker_id, {"shards": stats.shards, "cells": stats.cells}
             )
             for job_id in queue.list_jobs():
-                context = contexts.get(job_id)
-                if context is None:
+                if job_id not in loaded:
                     record = queue.load_job(job_id)
                     if record is None:
                         continue
-                    context = _JobContext(queue, record)
-                    contexts[job_id] = context
-                record = context.record
+                    loaded[job_id] = (record, queue.cells(job_id))
+                record, cells = loaded[job_id]
                 completed = queue.completed_shards(job_id)
                 for shard_index in range(record.total_shards):
                     if shard_index in completed:
@@ -214,7 +196,7 @@ def run_worker(
                         continue
                     try:
                         execute_shard(
-                            queue, record, context.cells, shard_index, stats.worker_id
+                            queue, record, cells, shard_index, stats.worker_id
                         )
                     except BaseException:
                         # Publish failed or the worker is dying: free

@@ -108,8 +108,8 @@ class Graph:
 
         Two graphs share a digest iff they are equal, independently of
         construction order or process — which makes the digest usable
-        as a content address across worker processes and on disk (the
-        artifact layer keys connectivity certificates by it).  Computed
+        as a content address across worker processes (the artifact
+        layer keys deployments by it).  Computed
         lazily and memoised; the graph is immutable so the digest never
         goes stale.
         """

@@ -11,6 +11,7 @@ content address — mutating anything changes the key.
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,9 @@ from repro.experiments.artifacts import (
 )
 from repro.experiments.envspec import DEFAULT_ENVIRONMENT, EnvironmentSpec
 from repro.experiments.persistence import figure_to_dict
-from repro.experiments.runner import build_deployment, compute_ground_truth, run_trial
+from repro.experiments.runner import build_deployment, run_trial
 from repro.experiments.spec import SWEEP_ENGINE, TopologySpec
+from repro.graphs import connectivity
 from repro.graphs.generators.regular import harary_graph
 from repro.graphs.graph import Graph
 
@@ -80,28 +82,6 @@ class TestArtifactCache:
         assert cache.stats.topology_hits == 1
         assert cache.stats.topology_misses == 1
 
-    def test_connectivity_keyed_by_content_not_identity(self):
-        cache = ArtifactCache()
-        computed = []
-
-        def compute():
-            computed.append(1)
-            return 2
-
-        a = harary_graph(2, 6)
-        b = harary_graph(2, 6)  # equal graph, distinct object
-        assert a is not b
-        assert cache.connectivity(a, 3, compute) == 2
-        assert cache.connectivity(b, 3, compute) == 2
-        assert len(computed) == 1
-
-    def test_connectivity_cutoff_is_part_of_the_key(self):
-        cache = ArtifactCache()
-        graph = harary_graph(2, 6)
-        cache.connectivity(graph, 1, lambda: 1)
-        cache.connectivity(graph, None, lambda: 2)
-        assert cache.stats.connectivity_misses == 2
-
     def test_key_pool_hit_requires_same_scheme_n_seed(self):
         cache = ArtifactCache()
 
@@ -150,26 +130,6 @@ class TestArtifactCache:
         assert first is not second
         assert cache.stats.key_pool_bypasses == 2
         assert len(cache) == 0
-
-    def test_snapshot_round_trip(self, tmp_path):
-        cache = ArtifactCache()
-        cache.topology("k", lambda: harary_graph(2, 6))
-        cache.connectivity(harary_graph(2, 6), None, lambda: 2)
-        path = cache.save(tmp_path / "artifacts.pkl")
-        fresh = ArtifactCache()
-        assert fresh.load(path)
-        assert len(fresh) == len(cache) == 2
-        # The reloaded store answers without rebuilding.
-        fresh.topology("k", lambda: pytest.fail("should be interned"))
-
-    def test_load_missing_or_corrupt_is_harmless(self, tmp_path):
-        cache = ArtifactCache()
-        assert not cache.load(tmp_path / "absent.pkl")
-        bad = tmp_path / "bad.pkl"
-        bad.write_bytes(b"not a pickle")
-        assert not cache.load(bad)
-        assert len(cache) == 0
-
 
 # ----------------------------------------------------------------------
 # Invalidation: every spec field participates in the artifact key
@@ -228,8 +188,8 @@ class TestKeyInvalidation:
     @settings(max_examples=60, deadline=None)
     @given(_ENVIRONMENTS, _ENVIRONMENTS)
     def test_distinct_environments_have_distinct_payload_digests(self, a, b):
-        """The env payload (the spec-digest input that keys on-disk
-        artifact snapshots) must separate any two distinct specs."""
+        """The env payload (the spec-digest input that keys persisted
+        results and fabric jobs) must separate any two distinct specs."""
         key_a = artifact_key({"env": a.payload()})
         key_b = artifact_key({"env": b.payload()})
         if a == b:
@@ -318,8 +278,8 @@ class TestKindChecks:
                 env=EnvironmentSpec(artifacts=artifacts),
             )
             if artifacts:
-                # Warm the intern store the way SweepEngine's warm-up
-                # would, so the second artifact round hits the cache.
+                # Warm the intern store, so the second artifact round
+                # hits the cache.
                 ARTIFACTS.topology(top.artifact_key(), top.build_artifact)
             with pytest.raises(ExperimentError, match="is not a scenario"):
                 execute_trial(spec)
@@ -369,14 +329,44 @@ class TestTrialEquivalence:
         assert first.verdicts == second.verdicts == baseline.verdicts
         assert first.stats.bytes_sent == baseline.stats.bytes_sent
 
-    def test_ground_truth_served_from_certificate_store(self):
-        graph = harary_graph(3, 9)
-        direct = compute_ground_truth(graph, 1, frozenset())
-        cached = compute_ground_truth(graph, 1, frozenset(), artifacts=True)
-        again = compute_ground_truth(graph, 1, frozenset(), artifacts=True)
-        assert cached == again == direct
-        assert ARTIFACTS.stats.connectivity_hits == 1
-        assert ARTIFACTS.stats.connectivity_misses == 1
+    def test_resilience_sweep_computes_each_kappa_once(self, monkeypatch):
+        """Decisions and ground truth share one κ memo in both modes.
+
+        The Sec. V-D axes below build 60 distinct scenario graphs, each
+        scored by three protocol series; every graph costs exactly one
+        vertex-connectivity computation, with or without artifacts.
+        Each sweep starts with an empty memo, so the second run
+        recomputes all 60.
+        """
+        original = connectivity.vertex_connectivity
+        calls = []
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph)
+            return original(graph, *args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "vertex_connectivity", None) is original:
+                monkeypatch.setattr(module, "vertex_connectivity", counting)
+        overrides = {
+            "families": (
+                "k-regular",
+                "k-pasted-tree",
+                "k-diamond",
+                "generalized-wheel",
+                "multipartite-wheel",
+            ),
+            "n": 24,
+            "k": 6,
+            "ts": (1, 2, 3, 4),
+            "trials": 3,
+        }
+        for extra in ({}, {"env.artifacts": True}):
+            calls.clear()
+            SWEEP_ENGINE.run(
+                "connectivity-resilience", overrides={**overrides, **extra}
+            )
+            assert len(calls) == 60, extra
 
     def test_build_deployment_uses_pool_scheme(self):
         graph = harary_graph(2, 6)
@@ -387,7 +377,7 @@ class TestTrialEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Environment knobs and the on-disk layer
+# Environment knobs
 # ----------------------------------------------------------------------
 class TestEnvironmentKnobs:
     def test_default_environment_payload_unchanged(self):
@@ -407,115 +397,57 @@ class TestEnvironmentKnobs:
         assert resolved.env.artifacts is True
         assert resolved.env.scheme == "rsa-256"
 
-    def test_artifact_store_round_trip(self, tmp_path):
-        overrides = {"ns": (8,), "ks": (2,), "env.artifacts": True}
-        first = SWEEP_ENGINE.run(
-            "fig3", overrides=dict(overrides), artifact_store=tmp_path
-        )
-        stores = list(tmp_path.glob("artifacts-fig3-*.pkl"))
-        assert len(stores) == 1
-        clear_artifact_cache()
-        second = SWEEP_ENGINE.run(
-            "fig3", overrides=dict(overrides), artifact_store=tmp_path
-        )
-        assert _figure_fingerprint(second) == _figure_fingerprint(first)
-        # The reloaded store answered the topology without a rebuild.
-        assert ARTIFACTS.stats.topology_hits >= 1
-
-    def test_store_untouched_without_artifact_cells(self, tmp_path):
-        SWEEP_ENGINE.run(
-            "fig3", overrides={"ns": (8,), "ks": (2,)}, artifact_store=tmp_path
-        )
-        assert list(tmp_path.glob("*.pkl")) == []
-
-
 # ----------------------------------------------------------------------
-# Worker deltas (DESIGN.md §9.2): drain / merge / sharded persistence
+# Worker counters (DESIGN.md §10.3): drain / merge / sharded stats
 # ----------------------------------------------------------------------
+def _lookups(counters: dict) -> dict:
+    return {
+        store: counters[f"{store}_hits"] + counters[f"{store}_misses"]
+        for store in ("topology", "key_pool", "deployment")
+    }
+
+
 class TestWorkerDeltas:
-    def test_drain_reports_only_new_entries(self):
+    def test_drain_reports_only_new_counters(self):
         cache = ArtifactCache()
         cache.topology("a", lambda: "A")
-        first = cache.drain_delta()
-        assert first["topologies"] == {"a": "A"}
-        assert first["stats"]["topology_misses"] == 1
-        cache.topology("a", lambda: "A")  # hit: no new entry
+        first = cache.drain_counters()
+        assert first["topology_misses"] == 1
+        cache.topology("a", lambda: "A")  # hit: no rebuild
         cache.topology("b", lambda: "B")
-        second = cache.drain_delta()
-        assert second["topologies"] == {"b": "B"}
-        assert second["stats"]["topology_hits"] == 1
-        assert second["stats"]["topology_misses"] == 1
-
-    def test_adopt_starts_a_fresh_window(self):
+        second = cache.drain_counters()
+        assert second["topology_hits"] == 1
+        assert second["topology_misses"] == 1
         parent = ArtifactCache()
-        parent.topology("warm", lambda: "W")
-        worker = ArtifactCache()
-        worker.topology("stale", lambda: "S")
-        worker.adopt(parent.snapshot())
-        worker.topology("warm", lambda: "never-built")  # hit on warm-up
-        worker.topology("fresh", lambda: "F")
-        delta = worker.drain_delta()
-        assert set(delta["topologies"]) == {"fresh"}  # not the warm-up set
-        assert delta["stats"]["topology_hits"] == 1
-        assert delta["stats"]["topology_misses"] == 1
-
-    def test_merge_unions_entries_and_adds_counters(self):
-        parent = ArtifactCache()
-        parent.topology("a", lambda: "A")
-        worker = ArtifactCache()
-        worker.adopt(parent.snapshot())
-        worker.connectivity(Graph(3, [(0, 1), (1, 2)]), None, lambda: 1)
-        delta = worker.drain_delta()
-        parent.merge_delta(delta)
-        assert parent.connectivity(
-            Graph(3, [(0, 1), (1, 2)]), None, lambda: 99
-        ) == 1  # served from the merged certificate, not recomputed
-        assert parent.stats.connectivity_misses == 1  # the worker's miss
-        assert parent.stats.connectivity_hits == 1  # the parent's hit
-
-    def test_merge_ignores_foreign_versions(self):
-        cache = ArtifactCache()
-        cache.merge_delta({"version": 999, "topologies": {"x": "X"}})
-        assert len(cache) == 0
-
-    def test_sharded_store_persists_worker_certificates(self, tmp_path):
-        """The on-disk snapshot of a sharded run must include artifacts
-        first computed inside workers (certificates, key pools), not
-        just the parent's warm-up set."""
-        overrides = {
-            "families": ("k-diamond",),
-            "n": 14,
-            "k": 4,
-            "ts": (2,),
-            "trials": 2,
-            "env.artifacts": True,
-        }
-        SWEEP_ENGINE.run(
-            "connectivity-resilience",
-            overrides=overrides,
-            workers=2,
-            artifact_store=tmp_path,
-        )
-        parent_hits = ARTIFACTS.stats.hits()
-        assert parent_hits > 0
-        # κ certificates are only computed inside trials — i.e. inside
-        # workers under sharding — so their presence in the snapshot
-        # proves the deltas were merged back.
-        snapshots = list(tmp_path.glob("artifacts-*.pkl"))
-        assert len(snapshots) == 1
-        fresh = ArtifactCache()
-        assert fresh.load(snapshots[0])
-        assert len(fresh.snapshot()["connectivity"]) > 0
+        parent.merge_counters(first)
+        parent.merge_counters(second)
+        assert parent.stats.topology_hits == 1
+        assert parent.stats.topology_misses == 2
 
     def test_sharded_stats_cover_the_process_tree(self):
-        overrides = {"ns": (8, 10), "ks": (2, 4), "env.artifacts": True}
-        SWEEP_ENGINE.run("fig3", overrides=dict(overrides), workers=2)
-        sharded = ARTIFACTS.stats.counters()
-        clear_artifact_cache()
-        SWEEP_ENGINE.run("fig3", overrides=dict(overrides))
-        serial = ARTIFACTS.stats.counters()
-        # Workers reported their activity back: the sharded counters
-        # record at least every lookup the serial run performed.
-        assert sharded["topology_hits"] + sharded["topology_misses"] >= (
-            serial["topology_hits"] + serial["topology_misses"]
+        """Each store's lookups are the same sharded and serial.
+
+        The sharded run starts with the serial run's counters in the
+        parent, so a forked worker that re-reported its inherited
+        counters would inflate the totals.  Key pools are consulted
+        only inside a deployment miss, so they are pinned to those.
+        """
+        cases = (
+            ("fig3", {"ns": (8, 10), "ks": (2, 4)}),
+            ("connectivity-resilience", {}),
         )
+        for figure_id, overrides in cases:
+            overrides = {**overrides, "env.artifacts": True}
+            clear_artifact_cache()
+            SWEEP_ENGINE.run(figure_id, overrides=dict(overrides))
+            serial = ARTIFACTS.stats.counters()
+            SWEEP_ENGINE.run(figure_id, overrides=dict(overrides), workers=2)
+            total = ARTIFACTS.stats.counters()
+            sharded = {name: total[name] - serial[name] for name in total}
+            for store in ("topology", "deployment"):
+                assert _lookups(sharded)[store] == _lookups(serial)[store], (
+                    figure_id,
+                    store,
+                )
+            for counts in (serial, sharded):
+                assert _lookups(counts)["key_pool"] == counts["deployment_misses"]

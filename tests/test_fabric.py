@@ -234,15 +234,20 @@ class TestQueueEqualsSerial:
         )
         assert dump_figure_json(run.figure) == serial
 
-    def test_artifact_store_round_trips_through_queue(self, tmp_path):
-        overrides = {**TINY, "env.artifacts": True}
-        serial = _serial_json(overrides)
+    def test_artifact_counters_travel_in_shard_results(self, tmp_path):
+        overrides = {**SMALL, "env.artifacts": True}
+        serial_json = _serial_json(overrides)
+        serial = ARTIFACTS.stats.counters()
         clear_artifact_cache()
-        run = run_sweep_via_queue(
-            _resolve(overrides), tmp_path / "q", artifact_store=tmp_path / "store"
-        )
-        assert dump_figure_json(run.figure) == serial
-        assert list((tmp_path / "store").glob("artifacts-fig3-*.pkl"))
+        queue = FabricQueue(tmp_path / "q")
+        _submit_only(queue, _resolve(overrides))
+        run_worker(queue, worker_id="w-test", once=True)
+        # The client sees only the counters the shard results carry.
+        clear_artifact_cache()
+        run = run_sweep_via_queue(_resolve(overrides), queue)
+        assert run.client_shards == 0
+        assert dump_figure_json(run.figure) == serial_json
+        assert ARTIFACTS.stats.counters() == serial
 
     def test_worker_executes_submitted_job(self, tmp_path):
         queue = FabricQueue(tmp_path / "q")
@@ -437,7 +442,7 @@ class TestFabricCli:
     ):
         queue_root = tmp_path / "q"
 
-        def interrupted(resolved, root, artifact_store=None, **kwargs):
+        def interrupted(resolved, root, **kwargs):
             # Simulate ^C after one shard of two completed.
             queue = FabricQueue(root)
             _submit_only(queue, resolved)

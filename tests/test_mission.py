@@ -382,20 +382,21 @@ class TestMissionCells:
         assert updated.mission.env.loss_rate == 0.0
         assert cell.with_env(override, ()) is cell
 
-    def test_warm_artifacts_interns_trajectory_and_key_pool(self):
-        cell = MissionCellSpec(
-            mission=MissionSpec(
-                trajectory=SCATTERS,
-                t=2,
-                env=EnvironmentSpec(artifacts=True, scheme="hmac"),
-            )
+    def test_artifact_mission_interns_trajectory_and_key_pool(self):
+        mission = MissionSpec(
+            trajectory=SCATTERS,
+            t=2,
+            env=EnvironmentSpec(artifacts=True, scheme="hmac"),
         )
-        cell.warm_artifacts()
+        run_mission(mission)
+        # One trajectory build and one key pool serve every epoch
+        # (keys do not rotate mid-mission).
         assert ARTIFACTS.stats.topology_misses == 1
         assert ARTIFACTS.stats.key_pool_misses == 1
-        cell.warm_artifacts()  # second warm-up is all hits
+        assert ARTIFACTS.stats.key_pool_hits > 0
+        run_mission(mission)  # a replay rebuilds nothing
         assert ARTIFACTS.stats.topology_hits == 1
-        assert ARTIFACTS.stats.key_pool_hits == 1
+        assert ARTIFACTS.stats.key_pool_misses == 1
 
     def test_cell_execute_returns_the_metric(self):
         mission = MissionSpec(trajectory=SCATTERS, t=2)
