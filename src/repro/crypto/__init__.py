@@ -44,8 +44,9 @@ from repro.crypto.sizes import (
 #: scheme name -> factory; what ``env.scheme`` resolves against.  The
 #: RSA tiers exist for keygen-cost realism (Miller–Rabin prime search):
 #: ``rsa-256`` is fast enough for tests, ``rsa-512``/``rsa-1024`` make
-#: key generation the dominant trial cost — the regime the artifact
-#: layer's signer key pools are benchmarked in (``repro bench``).
+#: key generation the dominant trial cost — the regime in which
+#: ``tests/test_artifacts.py`` counts the keygens the artifact layer's
+#: signer key pools save.
 SCHEME_FACTORIES: dict[str, Callable[[], SignatureScheme]] = {
     "hmac": HmacScheme,
     "rsa-256": lambda: RsaScheme(bits=256),

@@ -19,8 +19,9 @@ Three stores:
 * **key pools** — :class:`~repro.crypto.keys.KeyStore` objects keyed by
   ``(scheme fingerprint, n, seed)``.  Key generation is deterministic
   per seed, so RSA/HMAC key material is generated once per sweep rather
-  than once per trial; with ``env.scheme=rsa-512`` keygen dominates a
-  trial and pooling is worth >2× wall time (``repro bench rsa-keygen``).
+  than once per trial; with ``env.scheme=rsa-1024`` keygen dominates a
+  trial, and a five-cell fig3 column runs 8 keygens instead of 40
+  (pinned in ``tests/test_artifacts.py``).
 * **deployments** — full :class:`~repro.experiments.runner.Deployment`
   records (keys *and* per-edge neighborhood proofs) keyed by ``(graph
   digest, scheme fingerprint, seed)``.  A sweep that replays the same
@@ -112,7 +113,7 @@ class ArtifactStats:
         return self.hits() / total if total else 0.0
 
     def as_dict(self) -> dict:
-        """JSON-ready counters (what the bench ledgers record)."""
+        """JSON-ready counters (what sweep artefacts record)."""
         return {
             "topology": {"hits": self.topology_hits, "misses": self.topology_misses},
             "key_pool": {

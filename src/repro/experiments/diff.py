@@ -14,10 +14,7 @@ produce identical rows.
 
 ``repro diff`` also compares **whole artefact directories**
 (:func:`diff_artefact_directories`): every ``*.json`` present on either
-side is matched by file name and diffed with a pluggable per-file
-comparator — figure records by default; ``repro bench --compare``
-plugs in a ledger-aware comparator so one sweep-regression report
-covers figures and ``BENCH_*`` perf ledgers alike.
+side is matched by file name and diffed as a figure record.
 """
 
 from __future__ import annotations
@@ -25,8 +22,6 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Callable
-
 from repro.errors import ExperimentError
 from repro.experiments.persistence import load_figure_record, spec_digest
 from repro.experiments.report import FigureData, Point
@@ -65,9 +60,8 @@ class FigureDiff:
     """The outcome of comparing two artefacts.
 
     ``deltas`` carries row-level figure divergences; ``problems``
-    carries free-form divergences from non-figure comparators (the
-    bench-ledger comparator reports through it).  Either makes the
-    diff count as diverged.
+    carries free-form divergences such as an unreadable artefact met
+    in a directory diff.  Either makes the diff count as diverged.
     """
 
     deltas: list[RowDelta] = field(default_factory=list)
@@ -182,9 +176,6 @@ def diff_artefacts(
 # ----------------------------------------------------------------------
 # Directory comparison
 # ----------------------------------------------------------------------
-#: per-file comparator signature: (path_a, path_b, tolerance) -> diff.
-FileComparator = Callable[[pathlib.Path, pathlib.Path, float], FigureDiff]
-
 
 @dataclass
 class DirectoryDiff:
@@ -242,21 +233,18 @@ def diff_artefact_directories(
     dir_a: str | pathlib.Path,
     dir_b: str | pathlib.Path,
     tolerance: float = 0.0,
-    file_diff: FileComparator | None = None,
 ) -> DirectoryDiff:
     """Compare every ``*.json`` artefact of two directories by name.
 
+    Each pair goes through :func:`diff_artefacts`.  A file that is not
+    a figure record is skipped with a note when both sides are at least
+    well-formed JSON (a foreign artefact type), but counted as a
+    divergence when either side is unreadable — a truncated artefact
+    must fail the gate, not slip past it.
+
     Args:
         dir_a, dir_b: the baseline and candidate directories.
-        tolerance: forwarded to the per-file comparator.
-        file_diff: per-file comparator; defaults to the figure-record
-            comparison of :func:`diff_artefacts`.  A comparator signals
-            "this file is not mine" by raising
-            :class:`~repro.errors.ExperimentError`; the file is then
-            skipped with a note when both sides are at least well-formed
-            JSON (a foreign artefact type), but counted as a divergence
-            when either side is unreadable — a truncated artefact must
-            fail the gate, not slip past it.
+        tolerance: forwarded to :func:`diff_artefacts`.
 
     Raises:
         ExperimentError: when either path is not a directory.
@@ -265,8 +253,6 @@ def diff_artefact_directories(
     for directory in (dir_a, dir_b):
         if not directory.is_dir():
             raise ExperimentError(f"{directory} is not a directory")
-    if file_diff is None:
-        file_diff = diff_artefacts
     names_a = {path.name for path in dir_a.glob("*.json")}
     names_b = {path.name for path in dir_b.glob("*.json")}
     result = DirectoryDiff()
@@ -274,7 +260,7 @@ def diff_artefact_directories(
     result.missing_right = sorted(names_a - names_b)
     for name in sorted(names_a & names_b):
         try:
-            entry = file_diff(dir_a / name, dir_b / name, tolerance)
+            entry = diff_artefacts(dir_a / name, dir_b / name, tolerance)
         except ExperimentError as exc:
             if _is_well_formed_json(dir_a / name) and _is_well_formed_json(
                 dir_b / name

@@ -9,7 +9,8 @@ minimum number of edges) and that each node has exactly k neighbors".
 * :func:`random_regular_graph` samples random k-regular graphs with
   the pairing model (in the spirit of Steger & Wormald [24]); such
   graphs are k-connected asymptotically almost surely, and the
-  generator can verify and resample.
+  generator can verify and resample.  Dense degrees are sampled
+  through the sparse complement.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 
 from repro.errors import TopologyError
 from repro.graphs.connectivity import vertex_connectivity
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, complete_graph_edges
 from repro.types import Edge
 
 
@@ -113,6 +114,11 @@ def random_regular_graph(
 ) -> Graph:
     """A uniform-ish random k-regular graph via the pairing model.
 
+    The pairing model gets stuck on dense graphs, so for k > (n − 1)/2
+    it draws an (n − 1 − k)-regular graph and returns its complement.
+    Complementing is a bijection between the two degree classes, so a
+    uniform sparse draw gives a uniform dense graph.
+
     Args:
         n: node count; ``n * k`` must be even and ``k < n``.
         k: degree.
@@ -131,10 +137,16 @@ def random_regular_graph(
     if (n * k) % 2 != 0:
         raise TopologyError(f"n*k must be even, got n={n}, k={k}")
     rng = random.Random(("random-regular", n, k, seed).__repr__())
+    dense = 2 * k > n - 1
     for _ in range(max_tries):
-        graph = _pairing_model_sample(n, k, rng)
+        graph = _pairing_model_sample(n, n - 1 - k if dense else k, rng)
         if graph is None:
             continue
+        if dense:
+            sparse = graph.edges()
+            graph = Graph(
+                n, (edge for edge in complete_graph_edges(n) if edge not in sparse)
+            )
         if not graph.is_connected():
             continue
         if require_connectivity and vertex_connectivity(graph, cutoff=k) != k:

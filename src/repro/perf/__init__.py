@@ -10,8 +10,8 @@ traffic bytes, figure rows, artefact payloads).  The scheduler stays
 the reference it is tested against: ``REPRO_NO_FASTPATH=1`` (or
 :func:`force_fastpath`) sends every trial through it, and the outputs
 do not change by a single byte.  The equivalence is pinned by the
-fast-path equivalence tests and by the golden-row/bench row-sha gates
-in CI.
+fast-path equivalence tests, the golden rows and the row digests of
+``tests/test_artifacts.py``, and by the ``repro diff`` legs in CI.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def force_fastpath(enabled: bool) -> Iterator[None]:
 
 
 def provenance() -> dict:
-    """Engine provenance for ledgers: whether the fast path is on."""
+    """Engine provenance for benchmark records: whether the fast path is on."""
     return {"fastpath": fastpath_enabled()}
 
 

@@ -11,12 +11,15 @@ content address — mutating anything changes the key.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import perf
 from repro.crypto import HmacScheme, NullScheme, RsaScheme, scheme_fingerprint
 from repro.crypto.signer import SignatureScheme
 from repro.errors import ExperimentError
@@ -27,12 +30,14 @@ from repro.experiments.artifacts import (
     clear_artifact_cache,
 )
 from repro.experiments.envspec import DEFAULT_ENVIRONMENT, EnvironmentSpec
+from repro.experiments.mission import clear_mission_memo
 from repro.experiments.persistence import figure_to_dict
 from repro.experiments.runner import build_deployment, run_trial
 from repro.experiments.spec import SWEEP_ENGINE, TopologySpec
 from repro.graphs import connectivity
 from repro.graphs.generators.regular import harary_graph
 from repro.graphs.graph import Graph
+from repro.perf import fastpath
 
 
 @pytest.fixture(autouse=True)
@@ -451,3 +456,128 @@ class TestWorkerDeltas:
                 )
             for counts in (serial, sharded):
                 assert _lookups(counts)["key_pool"] == counts["deployment_misses"]
+
+
+# ----------------------------------------------------------------------
+# Exact work pins: what the artifact stores and the fast path save
+# ----------------------------------------------------------------------
+def _rows_digest(figure) -> str:
+    """SHA-256 of the figure's flat rows (series, x, mean, ci, trials)."""
+    rows = [
+        [series.name, point.x, point.mean, point.ci_half_width, point.trials]
+        for series in figure.series
+        for point in series.points
+    ]
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: name -> (figure, overrides, rows digest, (hits, misses) per store,
+#: RSA keygens, fast-path takes or None when unpinned).  Every value is
+#: exact and machine-independent: the same with the fast path on and
+#: off, except the takes, which are 0 under ``REPRO_NO_FASTPATH=1``.
+_WORK_PINS = {
+    "rsa-keygen": (
+        "fig3",
+        {"ns": (8,), "ks": (2, 3, 4, 5, 6), "env.scheme": "rsa-1024"},
+        "1d7f6c9956e30370b16f6bb1e37cef31d59a418456e6d62300609c50bf7c94a8",
+        {"topology": (0, 5), "key_pool": (4, 1), "deployment": (0, 5)},
+        8,  # 40 with env.artifacts off: one key pool per (n, seed)
+        5,
+    ),
+    "connectivity-resilience": (
+        "connectivity-resilience",
+        {
+            "families": ("k-regular", "k-diamond"),
+            "n": 14,
+            "k": 4,
+            "ts": (2,),
+            "trials": 2,
+        },
+        "cb57f43c0859a4eed07bdceb0fd21f83f448f980d0de21021f775e32f0ed2114",
+        {"topology": (8, 4), "key_pool": (2, 2), "deployment": (8, 4)},
+        0,
+        12,
+    ),
+    "topology-interning": (
+        "topology-comparison",
+        {"families": ("k-regular", "k-diamond"), "n": 14, "k": 4, "trials": 2},
+        "2bb61def032e87a6d764dced182d7aaa247d747c259d824284ff5c1f2dd72100",
+        {"topology": (0, 4), "key_pool": (2, 1), "deployment": (1, 3)},
+        0,
+        4,
+    ),
+    "partition-detection": (
+        "partition-detection",
+        {"trials": 2, "epochs": 5, "drifts": (1.0,), "env.scheme": "rsa-512"},
+        "ce8e24a89265f9d08b8188678857dab79a2a843cf742e1b84333d509d09c499a",
+        {"topology": (0, 2), "key_pool": (8, 2), "deployment": (0, 10)},
+        24,  # 120 with env.artifacts off: keys do not rotate mid-mission
+        None,
+    ),
+}
+
+#: scenarios cheap enough (~0.01 s) to also run with artifacts off.
+_CHEAP = ("connectivity-resilience", "topology-interning")
+
+
+class TestWorkPins:
+    """Rows, store counters, keygens and fast-path takes, pinned exactly.
+
+    Each scenario runs with ``env.artifacts=true`` from a cold artifact
+    cache and a cold mission memo.  The counters are the noise-free
+    quantities behind the artifact layer's speedups: a store that stops
+    serving hits, or a fast path that stops taking trials, changes a
+    count here.
+    """
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        counts = {"keygens": 0, "fast": 0}
+        generate_keypair = RsaScheme.generate_keypair
+        try_run_trial = fastpath.try_run_trial
+
+        def counting_keygen(self, *args, **kwargs):
+            counts["keygens"] += 1
+            return generate_keypair(self, *args, **kwargs)
+
+        def counting_fastpath(*args, **kwargs):
+            result = try_run_trial(*args, **kwargs)
+            counts["fast"] += result is not None
+            return result
+
+        monkeypatch.setattr(RsaScheme, "generate_keypair", counting_keygen)
+        monkeypatch.setattr(fastpath, "try_run_trial", counting_fastpath)
+        return counts
+
+    def _run(self, figure_id, overrides, artifacts):
+        clear_artifact_cache()
+        clear_mission_memo()
+        return SWEEP_ENGINE.run(
+            figure_id, overrides={**overrides, "env.artifacts": artifacts}
+        )
+
+    @pytest.mark.parametrize("name", sorted(_WORK_PINS))
+    def test_scenario_work_is_pinned(self, name, work):
+        figure_id, overrides, digest, stores, keygens, takes = _WORK_PINS[name]
+        figure = self._run(figure_id, overrides, artifacts=True)
+        stats = ARTIFACTS.stats
+        observed = {
+            "rows": _rows_digest(figure),
+            "stores": {
+                store: (
+                    getattr(stats, f"{store}_hits"),
+                    getattr(stats, f"{store}_misses"),
+                )
+                for store in stores
+            },
+            "keygens": work["keygens"],
+        }
+        expected = {"rows": digest, "stores": stores, "keygens": keygens}
+        if takes is not None:
+            observed["fast-path takes"] = work["fast"]
+            expected["fast-path takes"] = takes if perf.fastpath_enabled() else 0
+        assert observed == expected
+        if name in _CHEAP:
+            figure = self._run(figure_id, overrides, artifacts=False)
+            assert _rows_digest(figure) == digest

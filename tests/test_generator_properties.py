@@ -1,6 +1,7 @@
 """Property tests over the topology generators' contracts."""
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +50,42 @@ def test_random_regular_graphs_are_regular_and_connected(n, k, seed):
     graph = random_regular_graph(n, k, seed=seed)
     assert all(graph.degree(v) == k for v in graph.nodes())
     assert graph.is_connected()
+
+
+def _to_networkx(graph) -> nx.Graph:
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(graph.nodes())
+    nx_graph.add_edges_from(graph.edges())
+    return nx_graph
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    # Sparse cells of the sweeps, then dense ones (k > (n - 1) / 2),
+    # which are sampled through their complement; (40, 34) is the
+    # paper-scale fig3-random cell the pairing model alone got stuck on.
+    [(12, 3), (20, 6), (60, 10), (21, 12), (10, 9), (20, 18), (40, 34)],
+)
+def test_random_regular_graphs_match_networkx(n, k):
+    """k-regular, simple and connected, checked by networkx."""
+    digests = set()
+    for seed in range(5):
+        graph = random_regular_graph(n, k, seed=seed)
+        nx_graph = _to_networkx(graph)
+        assert nx_graph.number_of_nodes() == n
+        assert all(degree == k for _, degree in nx_graph.degree())
+        assert nx.number_of_selfloops(nx_graph) == 0
+        # k-regular with n*k/2 distinct edges: no edge was doubled.
+        assert nx_graph.number_of_edges() == n * k // 2
+        assert nx.is_connected(nx_graph)
+        digests.add(graph.digest())
+    if k < n - 1:
+        assert len(digests) > 1  # the seed matters
+
+
+def test_dense_random_regular_graph_can_require_connectivity():
+    graph = random_regular_graph(12, 8, seed=3, require_connectivity=True)
+    assert nx.node_connectivity(_to_networkx(graph)) == 8
 
 
 @settings(max_examples=15, deadline=None)

@@ -135,6 +135,21 @@ class TestRegistry:
             assert spec.figure_id == figure_id
 
 
+@pytest.mark.parametrize("figure_id", sorted(FIGURE_SPECS))
+def test_paper_scale_topologies_build(figure_id):
+    """Every paper-scale cell's topology can be built, without trials.
+
+    A generator that cannot produce one (n, k) of a sweep would
+    otherwise fail only minutes into ``repro figure <id> --full``.
+    Mission cells are resolved and planned only.
+    """
+    plan = SWEEP_ENGINE.plan(SWEEP_ENGINE.resolve(figure_id, scale="paper"))
+    cells = [cell for group in plan.groups for cell in group.cells]
+    assert cells
+    for topology in {cell.topology for cell in cells if isinstance(cell, TrialSpec)}:
+        topology.build_artifact()
+
+
 class TestResolve:
     def test_reduced_presets(self, monkeypatch):
         monkeypatch.delenv("REPRO_FULL", raising=False)
